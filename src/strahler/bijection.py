@@ -1,89 +1,147 @@
 """The height-preserving correspondence between Dyck paths and full binary trees.
 
-``path_to_tree`` sends the empty path to a leaf.  Any other path is cut by
-``dyck.decompose_path`` into fix, free, and spine pieces, each piece is
-converted recursively, and the resulting trees are reassembled exactly as
+``path_to_tree`` sends the empty path to a leaf.  Any other path is cut into
+fix, free and spine pieces (see ``dyck.decompose_path``), each piece is
+converted in turn, and the resulting trees are reassembled exactly as
 ``tree.compose_tree`` prescribes: the spine signs become child slots
 (+1 -> slot 1, -1 -> slot 2 for the hung subtree), and below the spine the
 free tree takes the left child when the height is even and the right child
 when it is odd.  The construction preserves both the size parameter n and
 the statistic: the image of a path of height h has refined number h.
-
 ``tree_to_path`` inverts this, piece by piece.
 
-Both directions run on an explicit work stack rather than the call stack, so
-paths of half-length around 10**6 (whose recursion can be as deep as the
-tree) convert without recursion-limit tuning.
+Neither direction ever shifts or reflects a height.  A path piece is a
+triple ``(heights, base, sign)``: ``heights`` is a slice of the input's real
+heights (the free piece is its prefix plus its suffix) and the piece's own
+heights are ``sign * (x - base)``.  Reflecting a piece below the split level
+flips ``sign`` and moves ``base``; no element is touched.  A tree is first
+flattened into breadth-first index arrays (``tree._flatten``: children of
+node i at ``kid[i]`` and ``kid[i] + 1``, refined numbers in ``val``), the
+spine walk reads indices, and every piece's path is emitted straight in
+final heights from its ``(base, sign)``, so assembling a level is list
+concatenation plus one split of the free piece at its last visit to the
+split level.  Leaves and other pieces too small to need a cut are built
+inline and never enter the work loop.
+
+The same single-level helpers (``dyck._cut`` and ``dyck._join``,
+``tree._spine_walk`` and ``tree._assemble_tree``) back ``decompose_path``,
+``compose_path``, ``decompose_tree`` and ``compose_tree``, which normalise
+pieces to their own heights only at that API boundary.  Both directions run
+on an explicit work stack rather than the call stack, so paths of
+half-length around 10**6 (whose recursion can be as deep as the tree)
+convert without recursion-limit tuning.
 """
 
 from __future__ import annotations
 
-from .dyck import DyckPath, _compose_raw, _decompose_raw
-from .tree import LEAF, Tree, _assemble_tree, _decompose_parts, _hs_map
+from .dyck import DyckPath, _cut, _join
+from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk
+
+
+def _small_tree(hs):
+    """The image of a piece with at most two internal nodes, else None.
+
+    Built fresh on every call: Tree slots are assignable, so shared internal
+    nodes would let one caller's mutation leak into later images.
+    """
+    size = len(hs)
+    if size == 1:
+        return LEAF
+    if size == 3:
+        return Tree(LEAF, LEAF)
+    if size == 5:
+        if hs[2] == hs[0]:  # UDUD
+            return Tree(LEAF, Tree(LEAF, LEAF))
+        return Tree(Tree(LEAF, LEAF), LEAF)  # UUDD
+    return None
+
 
 def path_to_tree(d: DyckPath) -> Tree:
     """The tree image of d; refined number equals the height of d."""
-    # work stack holds height lists (pending conversions) and (h, signs)
-    # tuples (assembly frames waiting for their converted pieces)
-    stack: list = [list(d.heights)]
-    results: list[Tree] = []
+    image = _small_tree(d.heights)
+    if image is not None:
+        return image
+    out = [None]
+    # the work stack holds pieces waiting to be cut, (piece, dest, slot), and
+    # assembly frames, (h, signs, parts, dest, slot), that run once every
+    # slot of ``parts`` is filled; a result lands in dest[slot]
+    stack: list = [((d.heights, 0, 1), out, 0)]
     while stack:
-        arg = stack.pop()
-        if type(arg) is list:
-            if len(arg) == 1:
-                results.append(LEAF)
-                continue
-            h, fix, free, spine = _decompose_raw(arg)
-            if spine:
-                stack.append((h, tuple(e for e, _ in spine)))
-                for _, piece in reversed(spine):
-                    stack.append(piece)
-            else:
-                stack.append((h, ()))
-            stack.append(free)
-            stack.append(fix)
+        task = stack.pop()
+        if len(task) == 3:
+            piece, dest, slot = task
+            h, signs, pieces = _cut(*piece)
+            parts = [LEAF] * len(pieces)  # a one-height piece is a leaf
+            stack.append((h, signs, parts, dest, slot))
+            for j, p in enumerate(pieces):
+                size = len(p[0])
+                if size > 5:
+                    stack.append((p, parts, j))
+                elif size > 1:
+                    parts[j] = _small_tree(p[0])
         else:
-            h, signs = arg
-            take = 2 + len(signs)
-            parts = results[-take:]
-            del results[-take:]
-            spine = [
-                (1 if e == 1 else 2, sub) for e, sub in zip(signs, parts[2:])
-            ]
-            results.append(_assemble_tree(h, parts[0], parts[1], spine))
-    return results[0]
+            h, signs, parts, dest, slot = task
+            # sign +1 hangs its subtree in slot 1 (left), -1 in slot 2
+            dest[slot] = _assemble_tree(h, signs, parts)
+    return out[0]
+
+
+def _small_path(kid, val, i, base, sign):
+    """The final heights for the subtree at index i, placed at (base, sign),
+    when it has at most two internal nodes or is a right comb (refined
+    number 1), else None."""
+    v = val[i]
+    if v == 0:
+        return [base]
+    if v == 1:
+        size = 0
+        k = kid[i]
+        while k:  # a right comb: walk down its right children
+            size += 1
+            k = kid[k + 1]
+        return [base, base + sign] * size + [base]
+    if v == 2:
+        left = kid[i]  # the right child is at left + 1
+        # with refined number 2 and a leaf on the right, the left is internal
+        if not kid[left + 1] and not kid[kid[left]] and not kid[kid[left] + 1]:
+            return [base, base + sign, base + 2 * sign, base + sign, base]  # ((..).)
+    return None
 
 
 def tree_to_path(t: Tree) -> DyckPath:
     """The unique path mapping to t under path_to_tree."""
-    vals = _hs_map(t)  # covers every subtree; decompositions reuse it
-    # work stack holds Tree nodes (pending conversions) and (h, signs)
-    # tuples (assembly frames waiting for their converted pieces)
-    stack: list = [t]
-    results: list[list[int]] = []
+    _, kid, val = _flatten(t)
+    path = _small_path(kid, val, 0, 0, 1)
+    if path is not None:
+        return DyckPath._wrap(path)
+    out = [None]
+    # the work stack holds subtrees waiting to be cut, (i, base, sign, dest,
+    # slot), and assembly frames, (level, parts, dest, slot), that run once
+    # every slot of ``parts`` is filled; each piece is emitted directly in
+    # final heights, so assembly only concatenates
+    stack: list = [(0, 0, 1, out, 0)]
     while stack:
-        arg = stack.pop()
-        if type(arg) is not tuple:
-            if arg.left is None:
-                results.append([0])
-                continue
-            h, fix, free, spine = _decompose_parts(vals, arg)
-            if spine:
-                stack.append((h, tuple(3 - 2 * side for side, _ in spine)))
-                for _, sub in reversed(spine):
-                    stack.append(sub)
-            else:
-                stack.append((h, ()))
-            stack.append(free)
-            stack.append(fix)
+        task = stack.pop()
+        if len(task) == 5:
+            i, base, sign, dest, slot = task
+            h, slots, subtrees = _spine_walk(kid, val, i)
+            level = base + sign * (h // 2)
+            above = (level + sign, sign)
+            below = (level - sign, -sign)  # reflected
+            places = [above, (base, sign)]  # the fix and free subtrees
+            places += [above if side == 1 else below for side in slots]
+            parts = [None] * len(subtrees)
+            stack.append((level, parts, dest, slot))
+            for j, (k, (b, s)) in enumerate(zip(subtrees, places)):
+                path = _small_path(kid, val, k, b, s)
+                if path is None:
+                    stack.append((k, b, s, parts, j))
+                else:
+                    parts[j] = path
         else:
-            h, signs = arg
-            take = 2 + len(signs)
-            parts = results[-take:]
-            del results[-take:]
-            spine = list(zip(signs, parts[2:]))
-            results.append(_compose_raw(h, parts[0], parts[1], spine))
-    return DyckPath(results[0])
+            level, parts, dest, slot = task
+            dest[slot] = _join(level, parts[0], parts[1], parts[2:])
+    return DyckPath._wrap(out[0])
 
 
 def golden_witness() -> tuple[DyckPath, Tree]:

@@ -158,29 +158,38 @@ class Landmarks:
         return len(self.signs)
 
 
-def _landmarks_raw(hs):
-    h = max(hs)
+def _landmarks_raw(hs, base, sign):
+    """Landmarks of the piece of heights ``hs`` placed at ``(base, sign)``.
+
+    A piece's own heights are ``sign * (x - base)`` for x in ``hs``, so the
+    real heights are never shifted or reflected.  Returns (h, m, level, peak,
+    mid_before, mid_after, mid_last, returns) in the piece's own terms, with
+    ``level = base + sign * m`` the real height of its split level.
+    """
+    top = max(hs) if sign == 1 else min(hs)
+    h = sign * (top - base)
     if h == 0:
         raise ValueError("path of height 0 has no landmarks")
     m = h // 2
-    peak = hs.index(h)
+    level = base + sign * m
+    peak = hs.index(top)
     # last m before the peak; the climb to the peak guarantees one exists
-    mid_before = peak - 1 - hs[peak - 1 :: -1].index(m)
-    mid_after = hs.index(m, peak)
-    mid_last = len(hs) - 1 - hs[::-1].index(m)
+    mid_before = peak - 1 - hs[peak - 1 :: -1].index(level)
+    mid_after = hs.index(level, peak)
+    mid_last = len(hs) - 1 - hs[::-1].index(level)
     # between mid_after and mid_last every visit to level m is a return
     returns = [mid_after]
     i = mid_after
     while i != mid_last:
-        i = hs.index(m, i + 1)
+        i = hs.index(level, i + 1)
         returns.append(i)
-    signs = [hs[i + 1] - hs[i] for i in returns[:-1]]
-    return h, m, peak, mid_before, mid_after, mid_last, returns, signs
+    return h, m, level, peak, mid_before, mid_after, mid_last, returns
 
 
 def landmarks(d: DyckPath) -> Landmarks:
     """Locate the landmark indices of d; requires height >= 1."""
-    h, m, peak, before, after, last, returns, signs = _landmarks_raw(d.heights)
+    hs = d.heights
+    h, m, _, peak, before, after, last, returns = _landmarks_raw(hs, 0, 1)
     return Landmarks(
         height=h,
         mid=m,
@@ -189,7 +198,7 @@ def landmarks(d: DyckPath) -> Landmarks:
         mid_after=after,
         mid_last=last,
         returns=tuple(returns),
-        signs=tuple(signs),
+        signs=tuple(hs[i + 1] - hs[i] for i in returns[:-1]),
     )
 
 
@@ -210,57 +219,83 @@ class PathDecomposition:
         return len(self.spine)
 
 
-def _decompose_raw(hs):
-    """Split a raw height sequence; returns (h, fix, free, [(sign, piece)])."""
-    h, m, _, before, after, last, returns, signs = _landmarks_raw(hs)
-    shift = m + 1
-    fix = list(map(sub, hs[before + 1 : after], repeat(shift)))
-    free = list(hs[: before + 1]) + list(hs[last + 1 :])
-    spine = []
-    for j, e in enumerate(signs):
-        seg = hs[returns[j] + 1 : returns[j + 1]]
-        if e == 1:
-            spine.append((1, list(map(sub, seg, repeat(shift)))))
+def _cut(hs, base, sign):
+    """One level of the decomposition of the piece ``(hs, base, sign)``.
+
+    Returns (h, signs, pieces): ``pieces`` is [fix, free, spine pieces...],
+    each again a ``(heights, base, sign)`` triple over slices of ``hs``, and
+    ``signs`` holds the +1/-1 tag of each spine piece.  The fix piece and the
+    +1 spine pieces sit one level above the split level; a -1 spine piece is
+    reflected by flipping ``sign`` about one level below it.
+    """
+    h, _, level, _, before, after, last, returns = _landmarks_raw(hs, base, sign)
+    up = level + sign
+    down = level - sign
+    signs = []
+    pieces = [
+        (hs[before + 1 : after], up, sign),
+        (hs[: before + 1] + hs[last + 1 :], base, sign),
+    ]
+    i = after
+    for j in returns[1:]:
+        if hs[i + 1] == up:
+            signs.append(1)
+            pieces.append((hs[i + 1 : j], up, sign))
         else:
-            spine.append((-1, list(map(sub, repeat(m - 1), seg))))
-    return h, fix, free, spine
+            signs.append(-1)
+            pieces.append((hs[i + 1 : j], down, -sign))
+        i = j
+    return h, signs, pieces
+
+
+def _own(piece) -> DyckPath:
+    """A piece as a path of its own heights."""
+    hs, base, sign = piece
+    if sign == 1:
+        return DyckPath._wrap(map(sub, hs, repeat(base)))
+    return DyckPath._wrap(map(sub, repeat(base), hs))
+
+
+def _place(heights, base: int, sign: int):
+    """The inverse of _own: an iterator over a path's heights placed at
+    (base, sign)."""
+    if sign == 1:
+        return map(add, heights, repeat(base))
+    return map(sub, repeat(base), heights)
 
 
 def decompose_path(d: DyckPath) -> PathDecomposition:
     """Cut d at its landmarks into fix, free, and the spine pieces."""
     if max(d.heights) == 0:
         raise ValueError("cannot decompose a path of height 0")
-    h, fix, free, spine = _decompose_raw(d.heights)
+    h, signs, pieces = _cut(d.heights, 0, 1)
     return PathDecomposition(
         height=h,
-        fix=DyckPath._wrap(fix),
-        free=DyckPath._wrap(free),
-        spine=tuple((e, DyckPath._wrap(p)) for e, p in spine),
+        fix=_own(pieces[0]),
+        free=_own(pieces[1]),
+        spine=tuple(zip(signs, map(_own, pieces[2:]))),
     )
 
 
-def _compose_raw(h, fix, free, spine):
-    """Concatenate decomposition pieces back into a height sequence.
+def _join(level, fix, free, spine):
+    """Concatenate pieces, already in final heights, into one height list.
 
     No validation; callers guarantee membership.  The free piece is split at
-    its last visit to level m, the fix piece is lifted to sit strictly above
-    m, and each spine piece is lifted or reflected to sit strictly on its
-    sign's side of m, each block closing with a return to m.
+    its last visit to the split level, and the fix piece and each spine piece
+    are followed by a return to that level.  ``free`` must be a list; it is
+    consumed as the output buffer.  The other pieces, and ``spine`` itself,
+    may be any iterables.
     """
-    m = h // 2
-    split = len(free) - 1 - free[::-1].index(m)
-    out = list(free[: split + 1])
-    shift = m + 1
-    out.extend(map(add, fix, repeat(shift)))
-    out.append(m)
-    for e, piece in spine:
-        if e == 1:
-            out.extend(map(add, piece, repeat(shift)))
-        else:
-            out.extend(map(sub, repeat(m - 1), piece))
-        out.append(m)
-    out.extend(free[split + 1 :])
-    return out
+    split = len(free) - free[::-1].index(level)
+    tail = free[split:]
+    del free[split:]
+    free += fix
+    free.append(level)
+    for piece in spine:
+        free += piece
+        free.append(level)
+    free += tail
+    return free
 
 
 def compose_path(h: int, parts: PathDecomposition) -> DyckPath:
@@ -271,6 +306,15 @@ def compose_path(h: int, parts: PathDecomposition) -> DyckPath:
     """
     if h < 1:
         raise ValueError("h must be >= 1; only the empty path has height 0")
+    if not isinstance(parts, PathDecomposition):
+        raise ValueError(f"parts must be a PathDecomposition, got {type(parts).__name__}")
+    try:
+        spine = tuple(parts.spine)
+    except TypeError:
+        raise ValueError("spine must be a sequence of (sign, DyckPath) pairs") from None
+    for what, piece in (("fix", parts.fix), ("free", parts.free)):
+        if not isinstance(piece, DyckPath):
+            raise ValueError(f"{what} piece must be a DyckPath, got {type(piece).__name__}")
     if parts.height != h:
         raise ValueError(
             f"membership violation: parts are labelled height {parts.height}, expected {h}"
@@ -287,9 +331,17 @@ def compose_path(h: int, parts: PathDecomposition) -> DyckPath:
         raise ValueError(
             f"membership violation: free piece has height {got}, need {m} .. {h - 1}"
         )
-    for j, (e, piece) in enumerate(parts.spine):
+    for j, entry in enumerate(spine):
+        try:
+            e, piece = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"spine entry {j} is not a (sign, DyckPath) pair") from None
         if e not in (1, -1):
             raise ValueError(f"membership violation: spine sign {e!r} is not +1 or -1")
+        if not isinstance(piece, DyckPath):
+            raise ValueError(
+                f"spine piece {j} must be a DyckPath, got {type(piece).__name__}"
+            )
         cap = fix_height if e == 1 else m - 1
         got = max(piece.heights)
         if got > cap:
@@ -297,10 +349,10 @@ def compose_path(h: int, parts: PathDecomposition) -> DyckPath:
                 f"membership violation: spine piece {j} with sign {e:+d} has "
                 f"height {got} > {cap}"
             )
-    heights = _compose_raw(
-        h,
-        parts.fix.heights,
-        parts.free.heights,
-        [(e, p.heights) for e, p in parts.spine],
+    heights = _join(
+        m,
+        _place(parts.fix.heights, m + 1, 1),
+        list(parts.free.heights),
+        (_place(piece.heights, m + e, e) for e, piece in spine),
     )
     return DyckPath(heights)

@@ -144,19 +144,25 @@ def _tree_words(n: int):
 
 
 def _decode_tree(word: str) -> Tree:
-    pos = 0
-
-    def node() -> Tree:
-        nonlocal pos
-        if pos < len(word) and word[pos] == "U":
-            pos += 1
-            left = node()
-            pos += 1  # the D separating the subtrees
-            right = node()
-            return Tree(left, right)
-        return LEAF
-
-    return node()
+    """Decode a first-return word on an explicit stack, so any depth works."""
+    # one entry per U whose node is still open: None while its left subtree
+    # is being read, then that left subtree while the right one is read
+    open_nodes: list = []
+    i = 0
+    end = len(word)
+    while True:
+        while i < end and word[i] == "U":
+            open_nodes.append(None)
+            i += 1
+        t = LEAF  # the empty word between here and the next D (or the end)
+        while open_nodes:
+            if open_nodes[-1] is None:
+                open_nodes[-1] = t
+                i += 1  # the D separating the subtrees
+                break
+            t = Tree(open_nodes.pop(), t)
+        else:
+            return t
 
 
 def all_dyck_paths(n: int, prefix: str = ""):

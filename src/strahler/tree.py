@@ -197,12 +197,14 @@ def tree_from_vertices(vertices) -> Tree:
         if (u + (1,) in vs) != (u + (2,) in vs):
             raise ValueError(f"vertex {u!r} has exactly one child: tree not full")
 
-    def build(u):
+    # deepest vertices first, so both children of a node are built before it
+    built = {}
+    for u in sorted(vs, key=len, reverse=True):
         if u + (1,) in vs:
-            return Tree(build(u + (1,)), build(u + (2,)))
-        return LEAF
-
-    return build(())
+            built[u] = Tree(built.pop(u + (1,)), built.pop(u + (2,)))
+        else:
+            built[u] = LEAF
+    return built[()]
 
 
 def subtree(t: Tree, u) -> Tree:
@@ -253,30 +255,33 @@ def complete_binary(s: int) -> Tree:
     return node
 
 
-def _hs_map(t: Tree) -> dict:
-    """Refined numbers of every subtree of t, keyed by node id.
+def _flatten(t: Tree):
+    """Index arrays for t, in breadth-first order: (nodes, kid, val).
 
-    One post-order pass; values are only valid while t is alive, and nothing
-    is cached across calls.
+    Node i is ``nodes[i]``; its children are at ``kid[i]`` and ``kid[i] + 1``,
+    and ``kid[i]`` is 0 for a leaf.  ``val[i]`` is the refined number of the
+    subtree at i.  Nothing is cached across calls.
     """
-    order = []
-    push = order.append
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        push(node)
-        if node.left is not None:
-            stack.append(node.left)
-            stack.append(node.right)
-    # every node precedes its descendants in order, so sweep it backwards
-    vals: dict[int, int] = {}
-    for node in reversed(order):
+    nodes = [t]
+    push = nodes.append
+    kid = []
+    mark = kid.append
+    for node in nodes:  # the loop sees the nodes appended while it runs
         left = node.left
         if left is None:
-            vals[id(node)] = 0
+            mark(0)
+        else:
+            mark(len(nodes))
+            push(left)
+            push(node.right)
+    # children come after their parent, so sweep backwards
+    val = [0] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        k = kid[i]
+        if not k:
             continue
-        a = vals[id(left)]
-        b = vals[id(node.right)]
+        a = val[k]
+        b = val[k + 1]
         # joining subtrees of refined numbers a, b gives
         # max(a, b, 2 * min(a, b) + (1 if a > b else 0) + 1)
         if a > b:
@@ -289,13 +294,15 @@ def _hs_map(t: Tree) -> dict:
                 s = b
         else:
             s = 2 * a + 1
-        vals[id(node)] = s
-    return vals
+        val[i] = s
+    return nodes, kid, val
 
 
 def refined_hs(t: Tree) -> int:
     """The largest r such that tau(r) embeds in t, by the bottom-up recursion."""
-    return _hs_map(t)[id(t)]
+    if t.left is None:
+        return 0
+    return _flatten(t)[2][0]
 
 
 def classical_hs(t: Tree) -> int:
@@ -377,44 +384,39 @@ def spine_vertex(t: Tree) -> tuple:
     """
     if t.left is None:
         return ()
-    vals = _hs_map(t)
-    h = vals[id(t)]
-    u = []
-    node = t
-    while node.left is not None:
-        if vals[id(node.right)] == h:
-            u.append(2)
-            node = node.right
-        elif vals[id(node.left)] == h:
-            u.append(1)
-            node = node.left
-        else:
-            break
-    return tuple(u)
+    _, kid, val = _flatten(t)
+    # a hung subtree in slot 1 means the chain turned right, and vice versa
+    return tuple(3 - side for side in _spine_walk(kid, val, 0)[1])
 
 
-def _decompose_parts(vals: dict, t: Tree):
-    """Decompose t given a precomputed subtree-value map (see _hs_map).
+def _spine_walk(kid: list, val: list, i: int):
+    """Decompose the subtree at index i of _flatten's arrays.
 
-    Returns the raw tuple (h, fix, free, [(slot, subtree), ...]).
+    Returns (h, slots, parts): ``parts`` is [fix, free, hung subtrees...] as
+    node indices, from the root down, and ``slots`` holds the child slot of
+    each hung subtree.  Requires the subtree to be internal.
     """
-    h = vals[id(t)]
-    spine = []
-    node = t
+    h = val[i]
+    slots = []
+    parts = [0, 0]
+    k = kid[i]
     while True:
-        left, right = node.left, node.right
-        if vals[id(right)] == h:
-            spine.append((1, left))  # spine turns right, sibling hangs left
-            node = right
-        elif vals[id(left)] == h:
-            spine.append((2, right))
-            node = left
+        if val[k + 1] == h:
+            slots.append(1)  # spine turns right, sibling hangs left
+            parts.append(k)
+            k = kid[k + 1]
+        elif val[k] == h:
+            slots.append(2)
+            parts.append(k + 1)
+            k = kid[k]
         else:
             break
-    # node is now rooted at the spine vertex; its children split by parity
+    # k now holds the children of the spine vertex; they split by parity
     if h % 2 == 0:
-        return h, node.right, node.left, spine
-    return h, node.left, node.right, spine
+        parts[0], parts[1] = k + 1, k
+    else:
+        parts[0], parts[1] = k, k + 1
+    return h, slots, parts
 
 
 def decompose_tree(t: Tree) -> SpinalDecomposition:
@@ -428,15 +430,29 @@ def decompose_tree(t: Tree) -> SpinalDecomposition:
     """
     if t.left is None:
         raise ValueError("cannot decompose a single leaf (refined number 0)")
-    h, fix, free, spine = _decompose_parts(_hs_map(t), t)
-    return SpinalDecomposition(hs=h, fix=fix, free=free, spine=tuple(spine))
+    nodes, kid, val = _flatten(t)
+    h, slots, parts = _spine_walk(kid, val, 0)
+    return SpinalDecomposition(
+        hs=h,
+        fix=nodes[parts[0]],
+        free=nodes[parts[1]],
+        spine=tuple(zip(slots, [nodes[j] for j in parts[2:]])),
+    )
 
 
-def _assemble_tree(h: int, fix: Tree, free: Tree, spine) -> Tree:
-    """Rebuild a tree from decomposition parts; no validation."""
+def _assemble_tree(h: int, sides, parts) -> Tree:
+    """Rebuild a tree from decomposition parts; no validation.
+
+    ``parts`` is [fix, free, hung subtrees...] from the root down, and
+    ``sides`` gives each hung subtree's side: 1 hangs it on the left, any
+    other value (slot 2, or the path sign -1 that path_to_tree passes) on
+    the right.
+    """
+    fix, free = parts[0], parts[1]
     node = Tree(free, fix) if h % 2 == 0 else Tree(fix, free)
-    for side, hung in reversed(spine):
-        node = Tree(hung, node) if side == 1 else Tree(node, hung)
+    for j in range(len(sides) - 1, -1, -1):
+        hung = parts[j + 2]
+        node = Tree(hung, node) if sides[j] == 1 else Tree(node, hung)
     return node
 
 
@@ -450,6 +466,15 @@ def compose_tree(hs: int, parts: SpinalDecomposition) -> Tree:
     """
     if hs < 1:
         raise ValueError("hs must be >= 1; no tree with refined number 0 decomposes")
+    if not isinstance(parts, SpinalDecomposition):
+        raise ValueError(f"parts must be a SpinalDecomposition, got {type(parts).__name__}")
+    try:
+        spine = tuple(parts.spine)
+    except TypeError:
+        raise ValueError("spine must be a sequence of (slot, Tree) pairs") from None
+    for what, part in (("fix", parts.fix), ("free", parts.free)):
+        if not isinstance(part, Tree):
+            raise ValueError(f"{what} part must be a Tree, got {type(part).__name__}")
     if parts.hs != hs:
         raise ValueError(
             f"membership violation: parts are labelled hs={parts.hs}, expected {hs}"
@@ -467,9 +492,19 @@ def compose_tree(hs: int, parts: SpinalDecomposition) -> Tree:
             "membership violation: free part has refined number "
             f"{got}, need {free_floor} .. {hs - 1}"
         )
-    for j, (side, hung) in enumerate(parts.spine):
+    sides = []
+    subtrees = [parts.fix, parts.free]
+    for j, entry in enumerate(spine):
+        try:
+            side, hung = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"spine entry {j} is not a (slot, Tree) pair") from None
         if side not in (1, 2):
             raise ValueError(f"membership violation: spine slot {side!r} is not 1 or 2")
+        if not isinstance(hung, Tree):
+            raise ValueError(
+                f"spine subtree {j} must be a Tree, got {type(hung).__name__}"
+            )
         cap = fix_value if side == 1 else free_floor - 1
         got = refined_hs(hung)
         if got > cap:
@@ -477,4 +512,6 @@ def compose_tree(hs: int, parts: SpinalDecomposition) -> Tree:
                 f"membership violation: spine subtree {j} in slot {side} has "
                 f"refined number {got} > {cap}"
             )
-    return _assemble_tree(hs, parts.fix, parts.free, parts.spine)
+        sides.append(side)
+        subtrees.append(hung)
+    return _assemble_tree(hs, sides, subtrees)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from strahler import (
     EMPTY_PATH,
     LEAF,
     DyckPath,
+    Tree,
+    complete_binary,
     golden_witness,
     height,
     internal_count,
@@ -19,7 +22,12 @@ from strahler import (
     tree_to_path,
     tree_to_text,
 )
-from strahler.enumeration import all_dyck_paths, catalan, histogram_by_height
+from strahler.enumeration import (
+    all_dyck_paths,
+    all_full_binary_trees,
+    catalan,
+    histogram_by_height,
+)
 
 
 def dyck_paths(max_n=60):
@@ -105,6 +113,18 @@ def test_round_trip_large_path():
     assert tree_to_path(t) == d
 
 
+def _mountains(heights):
+    return DyckPath.from_steps("".join("U" * k + "D" * k for k in heights))
+
+
+def _comb(n, side):
+    # side 1: the spine runs down the left children; side 2: down the right
+    t = LEAF
+    for _ in range(n):
+        t = Tree(t, LEAF) if side == 1 else Tree(LEAF, t)
+    return t
+
+
 def test_round_trip_deep_shapes():
     # tall mountain and flat sawtooth exercise the explicit work stack
     n = 30_000
@@ -117,3 +137,35 @@ def test_round_trip_deep_shapes():
     t = path_to_tree(saw)
     assert refined_hs(t) == 1
     assert tree_to_path(t) == saw
+
+    # extreme shapes at half-length about 2 000, from both sides
+    rising = range(1, 63)  # n = 1953, height 62
+    for d in (_mountains(rising), _mountains(reversed(rising))):
+        t = path_to_tree(d)
+        assert refined_hs(t) == height(d)
+        assert tree_to_path(t) == d
+    for t in (_comb(2000, 1), _comb(2000, 2), complete_binary(10), tau(1999)):
+        d = tree_to_path(t)
+        assert height(d) == refined_hs(t)
+        assert path_to_tree(d) == t
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_outputs_pinned_exhaustive_small():
+    # sha256 of every image for n <= 9, in enumeration order, one per line;
+    # any change to either conversion's output changes a digest
+    ns = range(10)
+    images = (tree_to_text(path_to_tree(d)) for n in ns for d in all_dyck_paths(n))
+    assert _digest(images) == (
+        "e92c9b6b51cc1c890a0d6dcee69395529013372490d10584264ce2337d58cab6"
+    )
+    preimages = (tree_to_path(t).steps() for n in ns for t in all_full_binary_trees(n))
+    assert _digest(preimages) == (
+        "aac8c138b13869dda0a1a78a2821bb8952b31a89f7a67743909a9f29fe65bd41"
+    )

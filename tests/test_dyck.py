@@ -215,6 +215,22 @@ def test_compose_rejects_bad_membership():
         compose_path(2, PathDecomposition(2, EMPTY_PATH, hump, ((1, hump),)))
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        "UUDD",
+        PathDecomposition(2, "", DyckPath((0, 1, 0)), ()),
+        PathDecomposition(2, EMPTY_PATH, "UD", ()),
+        PathDecomposition(2, EMPTY_PATH, DyckPath((0, 1, 0)), ((1, ""),)),
+        PathDecomposition(2, EMPTY_PATH, DyckPath((0, 1, 0)), (EMPTY_PATH,)),
+        PathDecomposition(2, EMPTY_PATH, DyckPath((0, 1, 0)), 5),
+    ],
+)
+def test_compose_rejects_wrong_types(parts):
+    with pytest.raises(ValueError):
+        compose_path(2, parts)
+
+
 def test_round_trip_small():
     for n in range(1, 9):
         for d in all_dyck_paths(n):

@@ -1,7 +1,9 @@
 import pytest
 
 from strahler import (
+    LEAF,
     Histogram,
+    Tree,
     aggregate_dyadic,
     all_dyck_paths,
     all_full_binary_trees,
@@ -80,6 +82,20 @@ def test_trees_in_text_order():
     for n in range(7):
         texts = [tree_to_text(t) for t in all_full_binary_trees(n)]
         assert texts == sorted(texts)
+
+
+def test_trees_decode_deep_first_tree():
+    # the first tree in order is the left comb, as deep as n
+    comb = LEAF
+    for _ in range(1200):
+        comb = Tree(comb, LEAF)
+    assert next(all_full_binary_trees(1200)) == comb
+
+
+def test_star_import_exposes_verify():
+    names = {}
+    exec("from strahler import *", names)
+    assert names["verify_equidistribution"] is verify_equidistribution
 
 
 def test_trees_n2_shapes():

@@ -80,6 +80,13 @@ def test_vertex_set_round_trip():
             assert tree_from_vertices(tree_vertices(t)) == t
 
 
+def test_vertex_set_round_trip_deep_comb():
+    comb = LEAF
+    for _ in range(1500):
+        comb = Tree(comb, LEAF)
+    assert tree_from_vertices(tree_vertices(comb)) == comb
+
+
 def test_from_vertices_validation():
     with pytest.raises(ValueError):
         tree_from_vertices([(1,)])  # no root
@@ -308,6 +315,22 @@ def test_compose_rejects_bad_membership():
     bad_spine = SpinalDecomposition(hs=1, fix=LEAF, free=LEAF, spine=((2, LEAF),))
     with pytest.raises(ValueError, match="membership"):
         compose_tree(1, bad_spine)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        "((..).)",
+        SpinalDecomposition(hs=2, fix=".", free=tau(1), spine=()),
+        SpinalDecomposition(hs=2, fix=LEAF, free="(..)", spine=()),
+        SpinalDecomposition(hs=2, fix=LEAF, free=tau(1), spine=((1, "."),)),
+        SpinalDecomposition(hs=2, fix=LEAF, free=tau(1), spine=(LEAF,)),
+        SpinalDecomposition(hs=2, fix=LEAF, free=tau(1), spine=5),
+    ],
+)
+def test_compose_rejects_wrong_types(parts):
+    with pytest.raises(ValueError):
+        compose_tree(2, parts)
 
 
 def test_decompose_compose_round_trip():
