@@ -17,8 +17,7 @@ are always printed as U/D.  Passing ``-`` reads the value from stdin.
 
 ``--format json`` emits the same content as line-delimited JSON.  Exit
 status: 0 on success, 1 if ``verify`` found a mismatch, 2 on usage or parse
-errors.  ``verify`` honours the STRAHLER_JOBS environment variable to run
-enumeration shards in parallel processes (default 1).
+errors.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ Order guarantees (fixed, so streamed output is reproducible byte for byte):
 * ``all_full_binary_trees(n)`` yields trees in ascending lexicographic order
   of their canonical text form ('(' before '.').
 
-Both generators stream via a successor computation, using O(n) memory.  For
-sharded runs, paths can be restricted to a fixed step prefix, and trees to a
-fixed root split (size of the left subtree); disjoint shards merged by
-adding counts reproduce the single-stream histograms exactly.
+Both generators stream via a successor computation, using O(n) memory.
+``verify_equidistribution`` walks each family once per n, serially: one pass
+over the paths builds the height histogram and checks every image of
+``path_to_tree``, and one pass over the trees builds the refined and the
+classical histograms from the same refined number.
 
 Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 ``verify_equidistribution`` refuses max_n > 30 rather than overflow.
@@ -18,15 +19,15 @@ Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .bijection import path_to_tree
 from .dyck import DyckPath
 from .tree import LEAF, Tree, classical_hs, internal_count, refined_hs, tree_to_text
 
+_STEP = {"U": 1, "D": -1}.__getitem__
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
 
@@ -46,41 +47,17 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Streaming generators.
 
-def _dyck_words(n: int, prefix: str = ""):
-    """All Dyck step words of half-length n starting with ``prefix``,
-    in ascending ASCII (D-before-U) lexicographic order."""
-    k = len(prefix)
-    if k > 2 * n:
-        raise ValueError("prefix longer than the paths requested")
-    word = list(prefix)
-    ups = downs = 0
-    for i, c in enumerate(word):
-        if c == "U":
-            ups += 1
-        elif c == "D":
-            downs += 1
-        else:
-            raise ValueError(f"bad step character {c!r} at index {i}")
-        if downs > ups or ups > n:
-            raise ValueError(f"prefix {prefix!r} cannot start a valid path")
-    # smallest completion: descend whenever possible
-    h = ups - downs
-    while len(word) < 2 * n:
-        if h > 0:
-            word.append("D")
-            downs += 1
-            h -= 1
-        else:
-            word.append("U")
-            ups += 1
-            h += 1
+def _dyck_words(n: int):
+    """All Dyck step words of half-length n, in ascending ASCII (D-before-U)
+    lexicographic order."""
+    word = ["U", "D"] * n  # the smallest: descend whenever possible
     end = 2 * n
     while True:
         yield "".join(word)
         # successor: bump the rightmost D that still has an unused up-step
         i = end
-        u, d = ups, downs
-        while i > k:
+        u = d = n
+        while i > 0:
             i -= 1
             if word[i] == "U":
                 u -= 1
@@ -91,18 +68,15 @@ def _dyck_words(n: int, prefix: str = ""):
         else:
             return
         word[i] = "U"
-        u += 1
-        h = u - d
+        # then the smallest completion again: descend whenever possible
+        h = u + 1 - d
         for j in range(i + 1, end):
             if h > 0:
                 word[j] = "D"
-                d += 1
                 h -= 1
             else:
                 word[j] = "U"
-                u += 1
                 h += 1
-        ups, downs = u, d
 
 
 def _tree_words(n: int):
@@ -165,35 +139,21 @@ def _decode_tree(word: str) -> Tree:
             return t
 
 
-def all_dyck_paths(n: int, prefix: str = ""):
-    """Every Dyck path of half-length n, exactly once, in step-lex order.
-
-    ``prefix`` restricts the stream to paths starting with those steps (a
-    shard); the order within a shard matches the global order.
-    """
+def all_dyck_paths(n: int):
+    """Every Dyck path of half-length n, exactly once, in step-lex order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for word in _dyck_words(n, prefix):
-        yield DyckPath.from_steps(word)
+    for word in _dyck_words(n):
+        # valid by construction, so DyckPath's own checks are skipped
+        yield DyckPath._wrap(accumulate(map(_STEP, word), initial=0))
 
 
-def all_full_binary_trees(n: int, left_size: int | None = None):
-    """Every full binary tree with n internal vertices, exactly once.
-
-    ``left_size`` restricts the stream to trees whose root's left subtree has
-    that many internal vertices (a shard); shard order matches global order.
-    """
+def all_full_binary_trees(n: int):
+    """Every full binary tree with n internal vertices, exactly once."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if left_size is None:
-        for word in _tree_words(n):
-            yield _decode_tree(word)
-        return
-    if n == 0 or not 0 <= left_size <= n - 1:
-        raise ValueError(f"left_size must be in 0 .. n - 1, got {left_size}")
-    for left in all_full_binary_trees(left_size):
-        for right in all_full_binary_trees(n - 1 - left_size):
-            yield Tree(left, right)
+    for word in _tree_words(n):
+        yield _decode_tree(word)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +164,8 @@ class Histogram:
     """Exact counts of one statistic over all size-n objects of one family.
 
     ``counts`` maps a statistic value to the number of objects attaining it;
-    zero entries are dropped.  For a full (unsharded) histogram the counts
-    sum to catalan(n).
+    zero entries are dropped.  Over a whole family the counts sum to
+    catalan(n).
     """
 
     n: int
@@ -219,40 +179,27 @@ class Histogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @staticmethod
-    def merged(parts) -> "Histogram":
-        """Combine disjoint shards by adding counts."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("nothing to merge")
-        if len({p.n for p in parts}) != 1:
-            raise ValueError("cannot merge histograms of different n")
-        acc: Counter = Counter()
-        for p in parts:
-            acc.update(p.counts)
-        return Histogram(parts[0].n, dict(acc))
 
-
-def histogram_by_height(n: int, prefix: str = "") -> Histogram:
+def histogram_by_height(n: int) -> Histogram:
     """counts[h] = number of paths of half-length n with height h."""
     acc: Counter = Counter()
-    for d in all_dyck_paths(n, prefix):
+    for d in all_dyck_paths(n):
         acc[max(d.heights)] += 1
     return Histogram(n, dict(acc))
 
 
-def histogram_by_refined_hs(n: int, left_size: int | None = None) -> Histogram:
+def histogram_by_refined_hs(n: int) -> Histogram:
     """counts[h] = number of size-n trees with refined number h."""
     acc: Counter = Counter()
-    for t in all_full_binary_trees(n, left_size):
+    for t in all_full_binary_trees(n):
         acc[refined_hs(t)] += 1
     return Histogram(n, dict(acc))
 
 
-def histogram_by_classical_hs(n: int, left_size: int | None = None) -> Histogram:
+def histogram_by_classical_hs(n: int) -> Histogram:
     """counts[s] = number of size-n trees with classical number s."""
     acc: Counter = Counter()
-    for t in all_full_binary_trees(n, left_size):
+    for t in all_full_binary_trees(n):
         acc[classical_hs(t)] += 1
     return Histogram(n, dict(acc))
 
@@ -268,45 +215,6 @@ def aggregate_dyadic(hist: Histogram) -> Histogram:
 
 # ---------------------------------------------------------------------------
 # Verification harness.
-
-def _path_shards(n: int, jobs: int) -> list:
-    if n < 4 or jobs <= 1:
-        return [""]
-    depth = 4
-    frontier = [("", 0, 0)]  # (word, ups, height)
-    for _ in range(min(depth, 2 * n)):
-        nxt = []
-        for word, ups, h in frontier:
-            if ups < n:
-                nxt.append((word + "U", ups + 1, h + 1))
-            if h > 0:
-                nxt.append((word + "D", ups, h - 1))
-        frontier = nxt
-    out = [w for w, _, _ in frontier]
-    return out or [""]
-
-
-def _histogram_shard(task):
-    kind, n, shard = task
-    if kind == "paths":
-        return histogram_by_height(n, prefix=shard).counts
-    if kind == "trees":
-        return histogram_by_refined_hs(n, left_size=shard).counts
-    return histogram_by_classical_hs(n, left_size=shard).counts
-
-
-def _sharded_histogram(kind: str, n: int, jobs: int, pool) -> Histogram:
-    if kind == "paths":
-        shards = _path_shards(n, jobs)
-    else:
-        shards = list(range(n)) if (jobs > 1 and n > 1) else [None]
-    tasks = [(kind, n, s) for s in shards]
-    if pool is None:
-        counts = map(_histogram_shard, tasks)
-    else:
-        counts = pool.map(_histogram_shard, tasks)
-    return Histogram.merged(Histogram(n, c) for c in counts)
-
 
 @dataclass
 class VerifyRow:
@@ -342,30 +250,47 @@ class VerifyReport:
         return all(row.ok for row in self.rows)
 
 
-def _check_bijection(n: int, by_height: Histogram) -> tuple[bool, list]:
-    """Map every path through path_to_tree and check the (n, h) cell images."""
-    seen: dict[int, set] = {}
+def _path_pass(n: int, check_bijection: bool) -> tuple[Histogram, list]:
+    """Walk the paths of half-length n once: the height histogram and, when
+    asked, the image checks of path_to_tree (refined number, size, and one
+    distinct image per path in each (n, h) cell)."""
+    acc: Counter = Counter()
+    images: dict[int, set] = {}
     problems = []
     for d in all_dyck_paths(n):
-        t = path_to_tree(d)
         h = max(d.heights)
+        acc[h] += 1
+        if not check_bijection:
+            continue
+        t = path_to_tree(d)
         if refined_hs(t) != h:
             problems.append(f"n={n} h={h}: image has wrong refined number")
-            continue
-        if internal_count(t) != n:
+        elif internal_count(t) != n:
             problems.append(f"n={n} h={h}: image has wrong size")
-            continue
-        seen.setdefault(h, set()).add(tree_to_text(t))
-    for h, count in by_height.counts.items():
-        got = len(seen.get(h, ()))
-        if got != count:
-            problems.append(f"n={n} h={h}: {got} distinct images, expected {count}")
-    return not problems, problems
+        else:
+            images.setdefault(h, set()).add(tree_to_text(t))
+    by_height = Histogram(n, dict(acc))
+    if check_bijection:
+        for h, count in by_height.counts.items():
+            got = len(images.get(h, ()))
+            if got != count:
+                problems.append(f"n={n} h={h}: {got} distinct images, expected {count}")
+    return by_height, problems
 
 
-def verify_equidistribution(
-    max_n: int, check_bijection: bool = True, jobs: int | None = None
-) -> VerifyReport:
+def _tree_pass(n: int) -> tuple[Histogram, Histogram]:
+    """Walk the trees of size n once: the refined and the classical
+    histograms, both from the same refined number."""
+    refined: Counter = Counter()
+    classical: Counter = Counter()
+    for t in all_full_binary_trees(n):
+        r = refined_hs(t)
+        refined[r] += 1
+        classical[(1 + r).bit_length() - 1] += 1
+    return Histogram(n, dict(refined)), Histogram(n, dict(classical))
+
+
+def verify_equidistribution(max_n: int, check_bijection: bool = True) -> VerifyReport:
     """Exhaustively check, for each n <= max_n, that path heights and tree
     refined numbers are equidistributed, that the dyadic groupings agree with
     the classical-number counts, and (optionally) that path_to_tree hits each
@@ -378,52 +303,41 @@ def verify_equidistribution(
         raise ValueError("max_n must be >= 0")
     if max_n > _VERIFY_MAX:
         raise ValueError(f"refusing max_n > {_VERIFY_MAX}: counts would overflow 64 bits")
-    if jobs is None:
-        jobs = int(os.environ.get("STRAHLER_JOBS", "1") or "1")
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     rows = []
-    try:
-        for n in range(max_n + 1):
-            by_height = _sharded_histogram("paths", n, jobs, pool)
-            by_refined = _sharded_histogram("trees", n, jobs, pool)
-            by_classical = _sharded_histogram("classical", n, jobs, pool)
-            mismatches = []
-            counts_equal = by_height.counts == by_refined.counts
-            if not counts_equal:
-                cells = sorted(set(by_height.counts) | set(by_refined.counts))
-                for h in cells:
-                    a = by_height.counts.get(h, 0)
-                    b = by_refined.counts.get(h, 0)
-                    if a != b:
-                        mismatches.append(f"n={n} h={h}: paths {a} != trees {b}")
-            dyadic_ok = (
-                aggregate_dyadic(by_height).counts == by_classical.counts
-                and aggregate_dyadic(by_refined).counts == by_classical.counts
+    for n in range(max_n + 1):
+        by_height, problems = _path_pass(n, check_bijection)
+        by_refined, by_classical = _tree_pass(n)
+        mismatches = []
+        counts_equal = by_height.counts == by_refined.counts
+        if not counts_equal:
+            cells = sorted(set(by_height.counts) | set(by_refined.counts))
+            for h in cells:
+                a = by_height.counts.get(h, 0)
+                b = by_refined.counts.get(h, 0)
+                if a != b:
+                    mismatches.append(f"n={n} h={h}: paths {a} != trees {b}")
+        dyadic_ok = (
+            aggregate_dyadic(by_height).counts == by_classical.counts
+            and aggregate_dyadic(by_refined).counts == by_classical.counts
+        )
+        if not dyadic_ok:
+            mismatches.append(f"n={n}: dyadic grouping disagrees")
+        expected = catalan(n)
+        totals_ok = by_height.total() == expected and by_refined.total() == expected
+        if not totals_ok:
+            mismatches.append(f"n={n}: totals differ from catalan(n)={expected}")
+        mismatches.extend(problems)
+        rows.append(
+            VerifyRow(
+                n=n,
+                by_height=by_height,
+                by_refined=by_refined,
+                by_classical=by_classical,
+                counts_equal=counts_equal,
+                dyadic_ok=dyadic_ok,
+                totals_ok=totals_ok,
+                bijection_ok=not problems if check_bijection else None,
+                mismatches=mismatches,
             )
-            if not dyadic_ok:
-                mismatches.append(f"n={n}: dyadic grouping disagrees")
-            expected = catalan(n)
-            totals_ok = by_height.total() == expected and by_refined.total() == expected
-            if not totals_ok:
-                mismatches.append(f"n={n}: totals differ from catalan(n)={expected}")
-            bijection_ok = None
-            if check_bijection:
-                bijection_ok, problems = _check_bijection(n, by_height)
-                mismatches.extend(problems)
-            rows.append(
-                VerifyRow(
-                    n=n,
-                    by_height=by_height,
-                    by_refined=by_refined,
-                    by_classical=by_classical,
-                    counts_equal=counts_equal,
-                    dyadic_ok=dyadic_ok,
-                    totals_ok=totals_ok,
-                    bijection_ok=bijection_ok,
-                    mismatches=mismatches,
-                )
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
     return VerifyReport(max_n=max_n, rows=rows)

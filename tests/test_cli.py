@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from strahler import enumeration
 from strahler.cli import main
 from strahler.enumeration import all_dyck_paths, all_full_binary_trees, catalan
-from strahler.tree import tree_to_text
+from strahler.tree import LEAF, tree_to_text
 
 
 def run(capsys, *argv):
@@ -141,6 +142,14 @@ def test_verify_json(capsys):
     per_n = [r for r in lines if "equal" in r]
     assert all(r["equal"] and r["dyadic"] and r["bijection"] for r in per_n)
     assert [r["objects"] for r in per_n] == [catalan(n) for n in range(4)]
+
+
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    # a wrong image for every path must surface as a failed run, not pass
+    monkeypatch.setattr(enumeration, "path_to_tree", lambda d: LEAF)
+    code, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert code == 1
+    assert "MISMATCH FOUND" in out
 
 
 # --- exit codes --------------------------------------------------------------------

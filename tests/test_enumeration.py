@@ -1,5 +1,6 @@
 import pytest
 
+from strahler import enumeration
 from strahler import (
     LEAF,
     Histogram,
@@ -50,25 +51,11 @@ def test_paths_in_lexicographic_step_order():
         assert words == sorted(words)
 
 
-def test_paths_prefix_shards_partition():
-    n = 6
-    whole = [d.steps() for d in all_dyck_paths(n)]
-    # viable prefixes only: a path cannot dip below zero, so "UDD" is not one
-    for prefixes in [["UU", "UD"], ["UUU", "UUD", "UDU"]]:
-        sharded = [w for p in sorted(prefixes) for w in
-                   (d.steps() for d in all_dyck_paths(n, prefix=p))]
-        assert sorted(sharded) == whole
-
-
-def test_paths_prefix_validation():
-    with pytest.raises(ValueError):
-        list(all_dyck_paths(2, prefix="D"))
-    with pytest.raises(ValueError):
-        list(all_dyck_paths(2, prefix="UUU"))
-    with pytest.raises(ValueError):
-        list(all_dyck_paths(2, prefix="UX"))
+def test_generators_reject_negative_n():
     with pytest.raises(ValueError):
         list(all_dyck_paths(-1))
+    with pytest.raises(ValueError):
+        list(all_full_binary_trees(-1))
 
 
 def test_trees_match_brute_force():
@@ -103,26 +90,6 @@ def test_trees_n2_shapes():
         "((..).)",
         "(.(..))",
     ]
-
-
-def test_tree_root_shards_partition():
-    n = 6
-    whole = sorted(tree_to_text(t) for t in all_full_binary_trees(n))
-    sharded = [
-        tree_to_text(t)
-        for i in range(n)
-        for t in all_full_binary_trees(n, left_size=i)
-    ]
-    assert sorted(sharded) == whole
-
-
-def test_tree_shard_validation():
-    with pytest.raises(ValueError):
-        list(all_full_binary_trees(3, left_size=3))
-    with pytest.raises(ValueError):
-        list(all_full_binary_trees(0, left_size=0))
-    with pytest.raises(ValueError):
-        list(all_full_binary_trees(-1))
 
 
 # --- histograms -------------------------------------------------------------------
@@ -168,30 +135,10 @@ def test_dyadic_aggregation():
         assert histogram_by_classical_hs(n).counts == blocks
 
 
-def test_histogram_merge():
-    parts = [Histogram(5, {1: 1, 2: 3}), Histogram(5, {2: 4, 3: 2})]
-    assert Histogram.merged(parts).counts == {1: 1, 2: 7, 3: 2}
-    with pytest.raises(ValueError):
-        Histogram.merged([Histogram(1, {1: 1}), Histogram(2, {1: 1})])
-    with pytest.raises(ValueError):
-        Histogram.merged([])
-
-
 def test_histogram_drops_zero_entries():
     assert Histogram(3, {1: 0, 2: 5}).counts == {2: 5}
     with pytest.raises(ValueError):
         Histogram(3, {1: -2})
-
-
-def test_sharded_histograms_merge_to_single_stream():
-    n = 7
-    whole = histogram_by_height(n)
-    parts = [histogram_by_height(n, prefix=p) for p in ["UU", "UD"]]
-    assert Histogram.merged(parts).counts == whole.counts
-
-    whole_trees = histogram_by_refined_hs(n)
-    parts = [histogram_by_refined_hs(n, left_size=i) for i in range(n)]
-    assert Histogram.merged(parts).counts == whole_trees.counts
 
 
 # --- verification -------------------------------------------------------------------
@@ -213,13 +160,37 @@ def test_verify_skips_bijection_when_asked():
     assert all(row.bijection_ok is None for row in report.rows)
 
 
-def test_verify_sharded_matches_serial():
-    serial = verify_equidistribution(6, check_bijection=False)
-    sharded = verify_equidistribution(6, check_bijection=False, jobs=2)
-    for a, b in zip(serial.rows, sharded.rows):
-        assert a.by_height.counts == b.by_height.counts
-        assert a.by_refined.counts == b.by_refined.counts
-        assert a.by_classical.counts == b.by_classical.counts
+def test_verify_reports_wrong_images(monkeypatch):
+    monkeypatch.setattr(enumeration, "path_to_tree", lambda d: LEAF)
+    report = verify_equidistribution(3)
+    assert not report.ok
+    bad = report.rows[1]
+    assert bad.bijection_ok is False and not bad.ok
+    assert "n=1 h=1: image has wrong refined number" in bad.mismatches
+    assert "n=1 h=1: 0 distinct images, expected 1" in bad.mismatches
+    # only the images are wrong: the histograms still agree
+    assert bad.counts_equal and bad.dyadic_ok and bad.totals_ok
+
+
+def test_verify_walks_each_family_once_per_n(monkeypatch):
+    calls = {"paths": 0, "trees": 0}
+
+    def counting(kind, stream):
+        def wrapper(*args):
+            calls[kind] += 1
+            return stream(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        enumeration, "all_dyck_paths", counting("paths", enumeration.all_dyck_paths)
+    )
+    monkeypatch.setattr(
+        enumeration,
+        "all_full_binary_trees",
+        counting("trees", enumeration.all_full_binary_trees),
+    )
+    assert verify_equidistribution(6).ok
+    assert calls == {"paths": 7, "trees": 7}
 
 
 def test_verify_range_errors():
