@@ -51,11 +51,12 @@ def test_paths_in_lexicographic_step_order():
         assert words == sorted(words)
 
 
-def test_generators_reject_negative_n():
+def test_paths_prefix_validation():
+    # the prefix shard parameter is gone: passing it is an error, not ignored
+    with pytest.raises(TypeError):
+        list(all_dyck_paths(2, prefix="U"))
     with pytest.raises(ValueError):
         list(all_dyck_paths(-1))
-    with pytest.raises(ValueError):
-        list(all_full_binary_trees(-1))
 
 
 def test_trees_match_brute_force():
@@ -63,6 +64,14 @@ def test_trees_match_brute_force():
         mine = [tree_to_text(t) for t in all_full_binary_trees(n)]
         assert len(mine) == len(set(mine)) == catalan(n)
         assert set(mine) == {tuple_tree_text(t) for t in brute_trees(n)}
+
+
+def test_tree_shard_validation():
+    # the left_size shard parameter is gone: passing it is an error, not ignored
+    with pytest.raises(TypeError):
+        list(all_full_binary_trees(3, left_size=1))
+    with pytest.raises(ValueError):
+        list(all_full_binary_trees(-1))
 
 
 def test_trees_in_text_order():
