@@ -38,7 +38,11 @@ from operator import add, sub
 
 
 class DyckPath:
-    """An immutable Dyck path, held as its height sequence."""
+    """An immutable Dyck path, held as its height sequence.
+
+    Assignment raises ``AttributeError``, so shared paths such as
+    ``EMPTY_PATH`` cannot change under other callers.
+    """
 
     __slots__ = ("heights",)
 
@@ -50,14 +54,23 @@ class DyckPath:
             raise ValueError("height sequence must be nonnegative")
         if not set(map(sub, hs[1:], hs)) <= {1, -1}:
             raise ValueError("height sequence must move by exactly 1 per step")
-        self.heights = hs
+        _store_heights(self, hs)
 
     @classmethod
     def _wrap(cls, heights) -> "DyckPath":
         # internal: trusted construction without revalidation
         p = object.__new__(cls)
-        p.heights = tuple(heights)
+        _store_heights(p, tuple(heights))
         return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DyckPath is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DyckPath is immutable")
+
+    def __reduce__(self):
+        return (DyckPath, (self.heights,))
 
     @classmethod
     def from_steps(cls, steps: str) -> "DyckPath":
@@ -94,6 +107,7 @@ class DyckPath:
         return f"DyckPath.from_steps({self.steps()!r})"
 
 
+_store_heights = DyckPath.heights.__set__  # the slot's own store, past __setattr__
 EMPTY_PATH = DyckPath()
 
 
@@ -355,4 +369,4 @@ def compose_path(h: int, parts: PathDecomposition) -> DyckPath:
         list(parts.free.heights),
         (_place(piece.heights, m + e, e) for e, piece in spine),
     )
-    return DyckPath(heights)
+    return DyckPath._wrap(heights)  # validated parts join to a valid path

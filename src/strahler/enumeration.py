@@ -7,11 +7,12 @@ Order guarantees (fixed, so streamed output is reproducible byte for byte):
 * ``all_full_binary_trees(n)`` yields trees in ascending lexicographic order
   of their canonical text form ('(' before '.').
 
-Both generators stream via a successor computation, using O(n) memory.
+Both generators are successors over one height list of length 2n + 1,
+rewritten in place, so they stream in O(n) memory.
 ``verify_equidistribution`` walks each family once per n, serially: one pass
 over the paths builds the height histogram and checks every image of
-``path_to_tree``, and one pass over the trees builds the refined and the
-classical histograms from the same refined number.
+``path_to_tree``, and one pass over the trees builds the refined histogram.
+The classical histogram it reports is the dyadic grouping of the refined one.
 
 Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 ``verify_equidistribution`` refuses max_n > 30 rather than overflow.
@@ -21,13 +22,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .bijection import path_to_tree
 from .dyck import DyckPath
 from .tree import LEAF, Tree, classical_hs, internal_count, refined_hs, tree_to_text
 
-_STEP = {"U": 1, "D": -1}.__getitem__
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
 
@@ -47,113 +46,81 @@ def catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Streaming generators.
 
-def _dyck_words(n: int):
-    """All Dyck step words of half-length n, in ascending ASCII (D-before-U)
-    lexicographic order."""
-    word = ["U", "D"] * n  # the smallest: descend whenever possible
+def _dyck_heights(n: int):
+    """Heights of all Dyck paths of half-length n, ascending in ASCII
+    (D-before-U) order of their step words; one list, rewritten in place."""
+    hs = [0, 1] * n + [0]  # the smallest: descend whenever possible
     end = 2 * n
     while True:
-        yield "".join(word)
-        # successor: bump the rightmost D that still has an unused up-step
-        i = end
-        u = d = n
-        while i > 0:
+        yield hs
+        # successor: raise the rightmost down-step with an up-step left after
+        # it (the steps before i hold (i + hs[i]) / 2 of the n up-steps)
+        i = end - 1
+        while i >= 0 and (hs[i + 1] > hs[i] or i + hs[i] == end):
             i -= 1
-            if word[i] == "U":
-                u -= 1
-            else:
-                d -= 1
-                if u < n:
-                    break
-        else:
+        if i < 0:
             return
-        word[i] = "U"
-        # then the smallest completion again: descend whenever possible
-        h = u + 1 - d
-        for j in range(i + 1, end):
-            if h > 0:
-                word[j] = "D"
-                h -= 1
-            else:
-                word[j] = "U"
-                h += 1
+        # then the smallest completion again: down to 0, then zigzag
+        h = hs[i] + 1
+        floor = i + 1 + h
+        hs[i + 1 : floor + 1] = range(h, -1, -1)
+        hs[floor + 1 :] = [1, 0] * ((end - floor) // 2)
 
 
-def _tree_words(n: int):
-    """Step encodings of all size-n trees, ascending with U before D.
+def _tree_heights(n: int):
+    """Heights of the step words of all size-n trees, ascending with U before
+    D; one list, rewritten in place.
 
     The encoding is the first-return one: a leaf is the empty word and a node
     is U, the left subtree, D, the right subtree.  This order makes the
     decoded trees ascend in ASCII order of their canonical text.
     """
-    if n == 0:
-        yield ""
-        return
-    word = ["U"] * n + ["D"] * n
+    hs = [*range(n), *range(n, -1, -1)]  # the smallest: all up, then down
     end = 2 * n
     while True:
-        yield "".join(word)
-        # successor: bump the rightmost U sitting strictly above the floor
-        i = end
-        u = d = n
-        while i > 0:
+        yield hs
+        # successor: lower the rightmost up-step that starts above the floor
+        i = end - 1
+        while i >= 0 and (hs[i + 1] < hs[i] or hs[i] == 0):
             i -= 1
-            if word[i] == "D":
-                d -= 1
-            else:
-                u -= 1
-                if d < u:
-                    break
-        else:
+        if i < 0:
             return
-        word[i] = "D"
-        d += 1
-        for j in range(i + 1, end):
-            if u < n:
-                word[j] = "U"
-                u += 1
-            else:
-                word[j] = "D"
-                d += 1
+        # then the smallest completion again: climb by the n - (i + 1 + h) / 2
+        # unused up-steps, then descend to 0
+        h = hs[i] - 1
+        top = h + n - (i + 1 + h) // 2
+        hs[i + 1 :] = [*range(h, top), *range(top, -1, -1)]
 
 
-def _decode_tree(word: str) -> Tree:
-    """Decode a first-return word on an explicit stack, so any depth works."""
-    # one entry per U whose node is still open: None while its left subtree
-    # is being read, then that left subtree while the right one is read
-    open_nodes: list = []
-    i = 0
-    end = len(word)
-    while True:
-        while i < end and word[i] == "U":
-            open_nodes.append(None)
-            i += 1
-        t = LEAF  # the empty word between here and the next D (or the end)
-        while open_nodes:
-            if open_nodes[-1] is None:
-                open_nodes[-1] = t
-                i += 1  # the D separating the subtrees
-                break
-            t = Tree(open_nodes.pop(), t)
+def _decode_tree(hs) -> Tree:
+    """Decode first-return heights on an explicit stack, so any depth works."""
+    # read right to left: a leaf sits at the end and just before each
+    # down-step, and an up-step joins the top two subtrees as (left, right)
+    stack = [LEAF]
+    for i in range(len(hs) - 2, -1, -1):
+        if hs[i + 1] < hs[i]:
+            stack.append(LEAF)
         else:
-            return t
+            left = stack.pop()
+            stack[-1] = Tree(left, stack[-1])
+    return stack[0]
 
 
 def all_dyck_paths(n: int):
     """Every Dyck path of half-length n, exactly once, in step-lex order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for word in _dyck_words(n):
+    for hs in _dyck_heights(n):
         # valid by construction, so DyckPath's own checks are skipped
-        yield DyckPath._wrap(accumulate(map(_STEP, word), initial=0))
+        yield DyckPath._wrap(hs)
 
 
 def all_full_binary_trees(n: int):
     """Every full binary tree with n internal vertices, exactly once."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for word in _tree_words(n):
-        yield _decode_tree(word)
+    for hs in _tree_heights(n):
+        yield _decode_tree(hs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +194,7 @@ class VerifyRow:
     counts_equal: bool
     dyadic_ok: bool
     totals_ok: bool
-    bijection_ok: bool | None
+    bijection_ok: bool
     mismatches: list = field(default_factory=list)
 
     @property
@@ -236,7 +203,7 @@ class VerifyRow:
             self.counts_equal
             and self.dyadic_ok
             and self.totals_ok
-            and self.bijection_ok is not False
+            and self.bijection_ok
         )
 
 
@@ -250,18 +217,16 @@ class VerifyReport:
         return all(row.ok for row in self.rows)
 
 
-def _path_pass(n: int, check_bijection: bool) -> tuple[Histogram, list]:
-    """Walk the paths of half-length n once: the height histogram and, when
-    asked, the image checks of path_to_tree (refined number, size, and one
-    distinct image per path in each (n, h) cell)."""
+def _path_pass(n: int) -> tuple[Histogram, list]:
+    """Walk the paths of half-length n once: the height histogram and the
+    image checks of path_to_tree (refined number, size, and one distinct
+    image per path in each (n, h) cell)."""
     acc: Counter = Counter()
     images: dict[int, set] = {}
     problems = []
     for d in all_dyck_paths(n):
         h = max(d.heights)
         acc[h] += 1
-        if not check_bijection:
-            continue
         t = path_to_tree(d)
         if refined_hs(t) != h:
             problems.append(f"n={n} h={h}: image has wrong refined number")
@@ -270,31 +235,23 @@ def _path_pass(n: int, check_bijection: bool) -> tuple[Histogram, list]:
         else:
             images.setdefault(h, set()).add(tree_to_text(t))
     by_height = Histogram(n, dict(acc))
-    if check_bijection:
-        for h, count in by_height.counts.items():
-            got = len(images.get(h, ()))
-            if got != count:
-                problems.append(f"n={n} h={h}: {got} distinct images, expected {count}")
+    for h, count in by_height.counts.items():
+        got = len(images.get(h, ()))
+        if got != count:
+            problems.append(f"n={n} h={h}: {got} distinct images, expected {count}")
     return by_height, problems
 
 
-def _tree_pass(n: int) -> tuple[Histogram, Histogram]:
-    """Walk the trees of size n once: the refined and the classical
-    histograms, both from the same refined number."""
-    refined: Counter = Counter()
-    classical: Counter = Counter()
-    for t in all_full_binary_trees(n):
-        r = refined_hs(t)
-        refined[r] += 1
-        classical[(1 + r).bit_length() - 1] += 1
-    return Histogram(n, dict(refined)), Histogram(n, dict(classical))
-
-
-def verify_equidistribution(max_n: int, check_bijection: bool = True) -> VerifyReport:
+def verify_equidistribution(max_n: int) -> VerifyReport:
     """Exhaustively check, for each n <= max_n, that path heights and tree
-    refined numbers are equidistributed, that the dyadic groupings agree with
-    the classical-number counts, and (optionally) that path_to_tree hits each
-    (n, h) cell bijectively.
+    refined numbers are equidistributed, that the dyadic grouping of the
+    heights agrees with the classical-number counts, and that path_to_tree
+    hits each (n, h) cell bijectively.
+
+    Each family is walked once per n, on the height-list successors: the
+    paths for the height histogram and every image check, the trees for the
+    refined histogram.  The classical histogram is the dyadic grouping of
+    the refined one.
 
     Mismatches land in the report; nothing raises.  max_n is capped at 30 to
     stay within 64-bit counts.
@@ -305,8 +262,9 @@ def verify_equidistribution(max_n: int, check_bijection: bool = True) -> VerifyR
         raise ValueError(f"refusing max_n > {_VERIFY_MAX}: counts would overflow 64 bits")
     rows = []
     for n in range(max_n + 1):
-        by_height, problems = _path_pass(n, check_bijection)
-        by_refined, by_classical = _tree_pass(n)
+        by_height, problems = _path_pass(n)
+        by_refined = histogram_by_refined_hs(n)
+        by_classical = aggregate_dyadic(by_refined)
         mismatches = []
         counts_equal = by_height.counts == by_refined.counts
         if not counts_equal:
@@ -316,10 +274,7 @@ def verify_equidistribution(max_n: int, check_bijection: bool = True) -> VerifyR
                 b = by_refined.counts.get(h, 0)
                 if a != b:
                     mismatches.append(f"n={n} h={h}: paths {a} != trees {b}")
-        dyadic_ok = (
-            aggregate_dyadic(by_height).counts == by_classical.counts
-            and aggregate_dyadic(by_refined).counts == by_classical.counts
-        )
+        dyadic_ok = aggregate_dyadic(by_height).counts == by_classical.counts
         if not dyadic_ok:
             mismatches.append(f"n={n}: dyadic grouping disagrees")
         expected = catalan(n)
@@ -336,7 +291,7 @@ def verify_equidistribution(max_n: int, check_bijection: bool = True) -> VerifyR
                 counts_equal=counts_equal,
                 dyadic_ok=dyadic_ok,
                 totals_ok=totals_ok,
-                bijection_ok=not problems if check_bijection else None,
+                bijection_ok=not problems,
                 mismatches=mismatches,
             )
         )

@@ -72,9 +72,27 @@ class Tree:
         return parse_tree(text)
 
 
-#: The unique tree with no internal node.  Shared freely; trees are immutable
-#: by convention.
-LEAF = Tree()
+class _Leaf(Tree):
+    """The type of ``LEAF``: a leaf that refuses assignment, so the one shared
+    instance cannot be turned into an internal node under other callers."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LEAF is shared and cannot be modified")
+
+    def __delattr__(self, name):
+        raise AttributeError("LEAF is shared and cannot be modified")
+
+    def __reduce__(self):
+        return "LEAF"  # pickle and copy hand back the module's own LEAF
+
+
+#: The unique tree with no internal node, shared by every tree.  It refuses
+#: assignment; internal nodes are immutable by convention.
+LEAF = object.__new__(_Leaf)
+Tree.left.__set__(LEAF, None)
+Tree.right.__set__(LEAF, None)
 
 _CLOSE = object()  # sentinel for the iterative serializer
 
@@ -172,7 +190,12 @@ def meet(u: tuple, v: tuple) -> tuple:
 
 
 def tree_vertices(t: Tree) -> set:
-    """The set of vertices of t, as tuples over {1, 2}."""
+    """The set of vertices of t, as tuples over {1, 2}.
+
+    Linear in the output: each vertex tuple is built once from its parent's,
+    and the set's total size is the sum of the depths, so Theta(D**2) for a
+    comb of depth D.
+    """
     out = set()
     stack = [(t, ())]
     while stack:
@@ -185,7 +208,13 @@ def tree_vertices(t: Tree) -> set:
 
 
 def tree_from_vertices(vertices) -> Tree:
-    """Build a tree from its vertex set; validates prefix closure and fullness."""
+    """Build a tree from its vertex set; validates prefix closure and fullness.
+
+    Linear in the input: each vertex is sliced, extended and hashed a bounded
+    number of times, at a cost proportional to its length, and the input's
+    total size is the sum of the depths, Theta(D**2) for a comb of depth D.
+    Sorting V vertices by length costs O(V log V), within that sum.
+    """
     vs = {tuple(v) for v in vertices}
     if () not in vs:
         raise ValueError("vertex set must contain the root ()")

@@ -1,6 +1,9 @@
+import copy
 import hashlib
+import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +44,29 @@ def dyck_paths(max_n=60):
 def test_empty_path_maps_to_leaf():
     assert path_to_tree(EMPTY_PATH) == LEAF
     assert tree_to_path(LEAF) == EMPTY_PATH
+
+
+def test_shared_singletons_refuse_mutation():
+    leaf = path_to_tree(EMPTY_PATH)
+    with pytest.raises(AttributeError):
+        leaf.left, leaf.right = tau(1), tau(1)
+    with pytest.raises(AttributeError):
+        del leaf.left
+    with pytest.raises(AttributeError):
+        EMPTY_PATH.heights = (0, 1, 0)
+    # later callers still see the leaf and the empty path
+    assert tree_to_text(path_to_tree(parse_path("UDUD"))) == "(.(..))"
+    assert parse_path("").heights == (0,)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    t = parse_tree("(.((..).))")
+    d = parse_path("UUDUDD")
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        t2, d2 = clone(t), clone(d)
+        assert t2 == t and t2 is not t and t2.left is LEAF
+        assert d2 == d and d2.heights == d.heights
+        assert clone(LEAF) is LEAF
 
 
 def test_single_hump_maps_to_tau1():

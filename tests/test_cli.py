@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -120,6 +121,20 @@ def test_enumerate_trees_json(capsys):
         "((..).)",
         "(.(..))",
     ]
+
+
+@pytest.mark.parametrize(
+    "side, digest",
+    [
+        ("paths", "0ed3e881a430d40f91e2ff836814ea4b90b205a011785685d73cdf03a578a0ef"),
+        ("trees", "e66f364b5558ddffdfdcc9dc7208a7636d689bebae2b48d010f845e25895f172"),
+    ],
+)
+def test_enumerate_output_pinned(capsys, side, digest):
+    # sha256 of the whole stdout at n = 10: any change of order or format shows
+    code, out, _ = run(capsys, "enumerate", "--n", "10", "--side", side)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- verify ----------------------------------------------------------------------

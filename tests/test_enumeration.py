@@ -164,9 +164,9 @@ def test_verify_small_all_ok():
 
 
 def test_verify_skips_bijection_when_asked():
-    report = verify_equidistribution(3, check_bijection=False)
-    assert report.ok
-    assert all(row.bijection_ok is None for row in report.rows)
+    # the check_bijection keyword is gone: verify always checks the images
+    with pytest.raises(TypeError):
+        verify_equidistribution(3, check_bijection=False)
 
 
 def test_verify_reports_wrong_images(monkeypatch):
