@@ -10,18 +10,26 @@ when it is odd.  The construction preserves both the size parameter n and
 the statistic: the image of a path of height h has refined number h.
 ``tree_to_path`` inverts this, piece by piece.
 
-Neither direction ever shifts or reflects a height.  A path piece is a
-triple ``(heights, base, sign)``: ``heights`` is a slice of the input's real
-heights (the free piece is its prefix plus its suffix) and the piece's own
-heights are ``sign * (x - base)``.  Reflecting a piece below the split level
-flips ``sign`` and moves ``base``; no element is touched.  A tree is first
-flattened into breadth-first index arrays (``tree._flatten``: children of
-node i at ``kid[i]`` and ``kid[i] + 1``, refined numbers in ``val``), the
-spine walk reads indices, and every piece's path is emitted straight in
-final heights from its ``(base, sign)``, so assembling a level is list
-concatenation plus one split of the free piece at its last visit to the
-split level.  Leaves and other pieces too small to need a cut are built
-inline and never enter the work loop.
+Neither direction ever shifts or reflects a height.  A path piece is held
+as offsets into the real heights it was cut from, with a ``(base, sign)``
+pair: its own heights are ``sign * (x - base)``, so reflecting a piece below
+the split level flips ``sign`` and moves ``base``, and no element is touched.
+A fix or spine piece is one range ``(hs, start, stop, base, sign)``.  A free
+piece is two ranges, a prefix and a suffix of the contiguous piece its chain
+of free pieces started from (see ``dyck._cut_free``).  The chain shares that
+root's one reversed copy and, once the chain has scanned as many heights as
+the root holds, a table of first visits and one of last visits per level, so
+a cut costs what it hands to its fix and spine pieces plus O(log h), not the
+length of the free piece.  A piece that crosses from the prefix into the
+suffix is copied once, and a free piece shorter than ``dyck._COPY_BELOW`` is
+copied into one range.  A tree is first flattened into breadth-first index
+arrays (``tree._flatten``: children of node i at ``kid[i]`` and
+``kid[i] + 1``, refined numbers in ``val``), the spine walk reads indices,
+and every piece's path is emitted straight in final heights from its
+``(base, sign)``, so assembling a level is list concatenation plus one split
+of the free piece at its last visit to the split level.  Leaves and other
+pieces too small to need a cut are built inline and never enter the work
+loop.
 
 The same single-level helpers (``dyck._cut`` and ``dyck._join``,
 ``tree._spine_walk`` and ``tree._assemble_tree``) back ``decompose_path``,
@@ -34,23 +42,23 @@ convert without recursion-limit tuning.
 
 from __future__ import annotations
 
-from .dyck import DyckPath, _cut, _join
+from .dyck import DyckPath, _cut, _cut_free, _join
 from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk
 
 
-def _small_tree(hs):
-    """The image of a piece with at most two internal nodes, else None.
+def _small_tree(hs, start, size):
+    """The image of the piece of ``size`` heights from ``hs[start]`` on,
+    when it has at most two internal nodes, else None.
 
     Built fresh on every call: Tree slots are assignable, so shared internal
     nodes would let one caller's mutation leak into later images.
     """
-    size = len(hs)
     if size == 1:
         return LEAF
     if size == 3:
         return Tree(LEAF, LEAF)
     if size == 5:
-        if hs[2] == hs[0]:  # UDUD
+        if hs[start + 2] == hs[start]:  # UDUD
             return Tree(LEAF, Tree(LEAF, LEAF))
         return Tree(Tree(LEAF, LEAF), LEAF)  # UUDD
     return None
@@ -58,27 +66,31 @@ def _small_tree(hs):
 
 def path_to_tree(d: DyckPath) -> Tree:
     """The tree image of d; refined number equals the height of d."""
-    image = _small_tree(d.heights)
+    hs = d.heights
+    image = _small_tree(hs, 0, len(hs))
     if image is not None:
         return image
     out = [None]
     # the work stack holds pieces waiting to be cut, (piece, dest, slot), and
     # assembly frames, (h, signs, parts, dest, slot), that run once every
     # slot of ``parts`` is filled; a result lands in dest[slot]
-    stack: list = [((d.heights, 0, 1), out, 0)]
+    stack: list = [((hs, 0, len(hs), 0, 1), out, 0)]
     while stack:
         task = stack.pop()
         if len(task) == 3:
             piece, dest, slot = task
-            h, signs, pieces = _cut(*piece)
+            h, signs, pieces = _cut(*piece) if len(piece) == 5 else _cut_free(*piece)
             parts = [LEAF] * len(pieces)  # a one-height piece is a leaf
             stack.append((h, signs, parts, dest, slot))
             for j, p in enumerate(pieces):
-                size = len(p[0])
+                if len(p) != 5:  # two ranges hold at least dyck._COPY_BELOW heights
+                    stack.append((p, parts, j))
+                    continue
+                size = p[2] - p[1]
                 if size > 5:
                     stack.append((p, parts, j))
                 elif size > 1:
-                    parts[j] = _small_tree(p[0])
+                    parts[j] = _small_tree(p[0], p[1], size)
         else:
             h, signs, parts, dest, slot = task
             # sign +1 hangs its subtree in slot 1 (left), -1 in slot 2

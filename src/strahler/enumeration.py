@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bijection import path_to_tree
 from .dyck import DyckPath
-from .tree import LEAF, Tree, classical_hs, internal_count, refined_hs, tree_to_text
+from .tree import LEAF, Tree, classical_hs, refined_hs, tree_to_text
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -230,10 +230,12 @@ def _path_pass(n: int) -> tuple[Histogram, list]:
         t = path_to_tree(d)
         if refined_hs(t) != h:
             problems.append(f"n={n} h={h}: image has wrong refined number")
-        elif internal_count(t) != n:
+            continue
+        text = tree_to_text(t)  # the dedupe key; one "(" per internal node
+        if text.count("(") != n:
             problems.append(f"n={n} h={h}: image has wrong size")
         else:
-            images.setdefault(h, set()).add(tree_to_text(t))
+            images.setdefault(h, set()).add(text)
     by_height = Histogram(n, dict(acc))
     for h, count in by_height.counts.items():
         got = len(images.get(h, ()))

@@ -151,6 +151,19 @@ def _comb(n, side):
     return t
 
 
+def _long_tail():
+    # rising mountains, then a long low tail that sits in the suffix part of
+    # every free piece of the chain
+    return DyckPath.from_steps("".join("U" * k + "D" * k for k in range(1, 41)) + "UD" * 2000)
+
+
+def _reflected_rising(k=41):
+    # U^(2k) D^k D (D^j U^j for j = 1..40) U D^k: one -1 spine piece of
+    # height 40 holding reflected rising mountains
+    valleys = "".join("D" * j + "U" * j for j in range(1, 41))
+    return DyckPath.from_steps("U" * (2 * k) + "D" * k + "D" + valleys + "U" + "D" * k)
+
+
 def test_round_trip_deep_shapes():
     # tall mountain and flat sawtooth exercise the explicit work stack
     n = 30_000
@@ -166,7 +179,8 @@ def test_round_trip_deep_shapes():
 
     # extreme shapes at half-length about 2 000, from both sides
     rising = range(1, 63)  # n = 1953, height 62
-    for d in (_mountains(rising), _mountains(reversed(rising))):
+    long_chains = (_long_tail(), _reflected_rising())
+    for d in (_mountains(rising), _mountains(reversed(rising))) + long_chains:
         t = path_to_tree(d)
         assert refined_hs(t) == height(d)
         assert tree_to_path(t) == d
@@ -194,4 +208,18 @@ def test_outputs_pinned_exhaustive_small():
     preimages = (tree_to_path(t).steps() for n in ns for t in all_full_binary_trees(n))
     assert _digest(preimages) == (
         "aac8c138b13869dda0a1a78a2821bb8952b31a89f7a67743909a9f29fe65bd41"
+    )
+
+
+def test_outputs_pinned_free_chains():
+    # sha256 of the images of shapes whose free pieces are cut many levels
+    # deep (a long low tail, a reflected spine piece, rising and falling
+    # mountains) and of 200 random paths at n = 1000, one line each
+    assert _reflected_rising().n == 903 and height(_reflected_rising()) == 82
+    rng = random.Random(6)
+    rising = range(1, 63)
+    paths = [_long_tail(), _reflected_rising(), _mountains(rising), _mountains(reversed(rising))]
+    paths += [random_path(1000, rng) for _ in range(200)]
+    assert _digest(tree_to_text(path_to_tree(d)) for d in paths) == (
+        "f402e37e138f749505ad147eee9b48ef3b519c3becab32dbd7e3fe7a23691a19"
     )

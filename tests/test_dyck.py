@@ -125,17 +125,16 @@ def test_landmarks_deterministic():
     assert landmarks(d1) == landmarks(d2)
 
 
-@settings(max_examples=150)
-@given(dyck_paths())
-def test_landmarks_invariants(d):
-    if height(d) == 0:
-        return
+def _check_landmarks(d):
     hs = d.heights
     lm = landmarks(d)
     assert hs[lm.peak] == lm.height
     assert all(x < lm.height for x in hs[: lm.peak])
     assert hs[lm.mid_before] == hs[lm.mid_after] == hs[lm.mid_last] == lm.mid
     assert lm.mid_before <= lm.peak <= lm.mid_after <= lm.mid_last
+    # mid_before and mid_last are the last visits before the peak and overall
+    assert lm.mid not in hs[lm.mid_before + 1 : lm.peak]
+    assert lm.mid not in hs[lm.mid_last + 1 :]
     assert lm.returns[0] == lm.mid_after
     assert lm.returns[-1] == lm.mid_last
     expected = [
@@ -143,6 +142,18 @@ def test_landmarks_invariants(d):
     ]
     assert list(lm.returns) == expected
     assert list(lm.signs) == [hs[i + 1] - hs[i] for i in lm.returns[:-1]]
+
+
+@settings(max_examples=150)
+@given(dyck_paths())
+def test_landmarks_invariants(d):
+    if height(d) == 0:
+        return
+    _check_landmarks(d)
+    # the free piece is cut again by the next level of its chain
+    free = decompose_path(d).free
+    if height(free) >= 1:
+        _check_landmarks(free)
 
 
 # --- decomposition -------------------------------------------------------------
