@@ -16,33 +16,34 @@ pair: its own heights are ``sign * (x - base)``, so reflecting a piece below
 the split level flips ``sign`` and moves ``base``, and no element is touched.
 A fix or spine piece is one range ``(hs, start, stop, base, sign)``.  A free
 piece is two ranges, a prefix and a suffix of the contiguous piece its chain
-of free pieces started from (see ``dyck._cut_free``).  The chain shares that
-root's one reversed copy and, once the chain has scanned as many heights as
-the root holds, a table of first visits and one of last visits per level, so
-a cut costs what it hands to its fix and spine pieces plus O(log h), not the
-length of the free piece.  A piece that crosses from the prefix into the
-suffix is copied once, and a free piece shorter than ``dyck._COPY_BELOW`` is
-copied into one range.  A tree is first flattened into breadth-first index
-arrays (``tree._flatten``: children of node i at ``kid[i]`` and
-``kid[i] + 1``, refined numbers in ``val``), the spine walk reads indices,
-and every piece's path is emitted straight in final heights from its
-``(base, sign)``, so assembling a level is list concatenation plus one split
-of the free piece at its last visit to the split level.  Leaves and other
-pieces too small to need a cut are built inline and never enter the work
-loop.
+of free pieces started from.  One function, ``dyck._cut``, cuts both forms.
+The chain shares that root's one reversed copy and, once the chain has
+scanned as many heights as the root holds, a table of first visits and one
+of last visits per level, so a cut costs what it hands to its fix and spine
+pieces plus O(log h), not the length of the free piece.  A piece that
+crosses from the prefix into the suffix is copied once, and a free piece
+shorter than ``dyck._COPY_BELOW`` is copied into one range.  A tree is
+first flattened into breadth-first index arrays (``tree._flatten``: children
+of node i at ``kid[i]`` and ``kid[i] + 1``, refined numbers in ``val``), the
+spine walk reads indices, and every piece's path is emitted straight in
+final heights from its ``(base, sign)``, so assembling a level is list
+concatenation plus one split of the free piece at its last visit to the
+split level, found by a backward scan of only the tail it splits off.
+Leaves and other pieces too small to need a cut are built inline and never
+enter the work loop.
 
 The same single-level helpers (``dyck._cut`` and ``dyck._join``,
-``tree._spine_walk`` and ``tree._assemble_tree``) back ``decompose_path``,
-``compose_path``, ``decompose_tree`` and ``compose_tree``, which normalise
-pieces to their own heights only at that API boundary.  Both directions run
-on an explicit work stack rather than the call stack, so paths of
-half-length around 10**6 (whose recursion can be as deep as the tree)
-convert without recursion-limit tuning.
+``tree._spine_walk`` and ``tree._assemble_tree``) back ``landmarks``,
+``decompose_path``, ``compose_path``, ``decompose_tree`` and
+``compose_tree``, which normalise pieces to their own heights only at that
+API boundary.  Both directions run on an explicit work stack rather than the
+call stack, so paths of half-length around 10**6 (whose recursion can be as
+deep as the tree) convert without recursion-limit tuning.
 """
 
 from __future__ import annotations
 
-from .dyck import DyckPath, _cut, _cut_free, _join
+from .dyck import DyckPath, _cut, _join
 from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk
 
 
@@ -79,7 +80,7 @@ def path_to_tree(d: DyckPath) -> Tree:
         task = stack.pop()
         if len(task) == 3:
             piece, dest, slot = task
-            h, signs, pieces = _cut(*piece) if len(piece) == 5 else _cut_free(*piece)
+            h, signs, pieces = _cut(piece)
             parts = [LEAF] * len(pieces)  # a one-height piece is a leaf
             stack.append((h, signs, parts, dest, slot))
             for j, p in enumerate(pieces):

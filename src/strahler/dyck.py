@@ -35,7 +35,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, sub
+from operator import add, indexOf, sub
 
 
 class DyckPath:
@@ -173,49 +173,25 @@ class Landmarks:
         return len(self.signs)
 
 
-def _landmarks_raw(hs, start, stop, base, sign):
-    """Landmarks of the piece ``hs[start:stop]`` placed at ``(base, sign)``.
-
-    A piece's own heights are ``sign * (x - base)`` for x in it, so the real
-    heights are never shifted, reflected or sliced.  Returns (h, m, level,
-    peak, mid_before, mid_after, mid_last, rev): h and m in the piece's own
-    terms, ``level = base + sign * m`` the real height of its split level,
-    the four landmarks as indices into ``hs``, and ``rev``, the piece
-    reversed.  ``rev`` is the one copy made of the piece: the two backward
-    searches (mid_before and mid_last) run forwards on it.
-    """
-    rev = hs[stop - 1 : start - 1 : -1] if start else hs[stop - 1 :: -1]
-    top = max(rev) if sign == 1 else min(rev)
-    h = sign * (top - base)
-    if h == 0:
-        raise ValueError("path of height 0 has no landmarks")
-    m = h // 2
-    level = base + sign * m
-    peak = hs.index(top, start, stop)
-    # last m before the peak; the climb to the peak guarantees one exists
-    mid_before = stop - 1 - rev.index(level, stop - peak)
-    mid_after = hs.index(level, peak, stop)
-    mid_last = stop - 1 - rev.index(level)
-    return h, m, level, peak, mid_before, mid_after, mid_last, rev
-
-
 def landmarks(d: DyckPath) -> Landmarks:
     """Locate the landmark indices of d; requires height >= 1."""
     hs = d.heights
-    h, m, _, peak, before, after, last, _ = _landmarks_raw(hs, 0, len(hs), 0, 1)
-    # between mid_after and mid_last every visit to level m is a return
-    returns = [after]
-    while returns[-1] != last:
-        returns.append(hs.index(m, returns[-1] + 1))
+    if len(hs) == 1:
+        raise ValueError("path of height 0 has no landmarks")
+    h, signs, pieces = _cut((hs, 0, len(hs), 0, 1))
+    # the fix piece lies strictly between mid_before and mid_after, and each
+    # spine piece ends at the next return
+    fix = pieces[0]
+    returns = (fix[2], *[p[2] for p in pieces[2:]])
     return Landmarks(
         height=h,
-        mid=m,
-        peak=peak,
-        mid_before=before,
-        mid_after=after,
-        mid_last=last,
-        returns=tuple(returns),
-        signs=tuple(hs[i + 1] - hs[i] for i in returns[:-1]),
+        mid=h // 2,
+        peak=hs.index(h),
+        mid_before=fix[1] - 1,
+        mid_after=fix[2],
+        mid_last=returns[-1],
+        returns=returns,
+        signs=tuple(signs),
     )
 
 
@@ -240,42 +216,33 @@ class PathDecomposition:
 # base, sign)``: the heights ``hs[start:stop]``, whose own heights are
 # ``sign * (x - base)``.  A free piece with at least _COPY_BELOW heights is
 # ``(chain, pe, ss)``: the prefix part ``hs[start:pe]`` followed by the
-# suffix part ``hs[ss:stop]`` of the contiguous piece its chain started from
-# (its root), held in the list ``chain = [hs, start, stop, base, sign, rev,
-# budget, tables]``.  Cutting a free piece again leaves a prefix and a suffix
-# of the same root, so a whole chain of free pieces shares one root, one
-# reversed copy ``rev`` and, once built, one pair of ``tables``.  A shorter
-# free piece is copied into a contiguous one: below that size the copy costs
-# less than the bookkeeping of two ranges (250 random paths at n = 1000,
-# whose pieces are short, ran about 7% slower without the copy on CPython
-# 3.11, 2 cores).
+# suffix part ``hs[ss:stop]`` of the contiguous piece its chain of free
+# pieces started from (its root), held in the list ``chain = [hs, start,
+# stop, base, sign, rev, budget, tables]``.  A contiguous piece is cut as a
+# root whose suffix part is empty (``pe = ss = stop``), and its chain is
+# created only when it hands on such a free piece.  Cutting a free piece
+# again leaves a prefix and a suffix of the same root, so a whole chain
+# shares one root, one reversed copy ``rev`` and, once built, one pair of
+# ``tables``.  A shorter free piece is copied into a contiguous one: below
+# that size the copy costs less than the bookkeeping of two ranges (250
+# random paths at n = 1000, whose pieces are short, ran about 7% slower
+# without the copy on CPython 3.11, 2 cores).
 _COPY_BELOW = 256
 
 
-def _cut(hs, start, stop, base, sign):
-    """One level of the decomposition of the contiguous piece ``hs[start:stop]``.
+def _cut(piece):
+    """One level of the decomposition of a piece, contiguous or free.
 
-    Returns (h, signs, pieces): ``pieces`` is [fix, free, spine pieces...]
-    and ``signs`` holds the +1/-1 tag of each spine piece.  The fix and spine
-    pieces are offsets into ``hs``; the free piece starts a chain rooted at
-    this piece, or is copied when it is short.
-    """
-    h, _, level, _, before, after, last, rev = _landmarks_raw(hs, start, stop, base, sign)
-    pe, ss = before + 1, last + 1
-    if pe - start + stop - ss < _COPY_BELOW:
-        free = _joined(hs, start, pe, ss, stop, base, sign)
-    else:
-        free = ([hs, start, stop, base, sign, rev, stop - start, None], pe, ss)
-    signs = []
-    pieces = [(hs, pe, after, level + sign, sign), free]
-    _spine(hs, after, last, level, sign, signs, pieces)
-    return h, signs, pieces
+    Returns (h, signs, pieces): ``h`` is the piece's height, ``pieces`` is
+    [fix, free, spine pieces...] and ``signs`` holds the +1/-1 tag of each
+    spine piece.  The free piece continues this piece's chain, or is copied
+    when it is short.
 
+    A contiguous piece is reversed once into ``rev``: its height and peak
+    come from it, and the two backward searches (the last visit to the split
+    level before the peak, and the last visit overall) run forwards on it.
 
-def _cut_free(chain, pe, ss):
-    """One level of the decomposition of the free piece ``(chain, pe, ss)``.
-
-    Three facts keep this from rescanning the piece.  Its suffix part stays
+    A free piece is not rescanned, by three facts.  Its suffix part stays
     below the split level that cut it off, so its height and peak lie in its
     prefix part, a prefix of the root.  Its last visit to its own split level
     is the end of the prefix part when that level did not drop, and else the
@@ -291,31 +258,42 @@ def _cut_free(chain, pe, ss):
     answer every later cut with one ``bisect`` and one lookup.  A chain whose
     pieces halve, as on a single mountain, never builds them.
     """
-    hs, start, stop, base, sign, rev, budget, tables = chain
-    if tables is None:
-        top = max(hs[start:pe]) if sign == 1 else min(hs[start:pe])
+    if len(piece) == 5:
+        hs, start, stop, base, sign = piece
+        chain = tables = None
+        pe = ss = stop
+        rev = hs[stop - 1 : start - 1 : -1] if start else hs[stop - 1 :: -1]
+        top = max(rev) if sign == 1 else min(rev)
         h = sign * (top - base)
-        budget -= pe - start + stop - ss
-        chain[6] = budget
-        if budget < 0:
-            tables = chain[7] = (
-                _first_visits(hs, start, pe, base, sign, h),
-                _first_visits(rev, 0, stop - start, base, sign, h // 2),
-            )
-        else:
-            peak = hs.index(top, start, pe)
-    if tables is not None:
-        h = bisect_left(tables[0], pe) - 1
-        peak = tables[0][h]
+        peak = hs.index(top, start, stop)
+    else:
+        chain, pe, ss = piece
+        hs, start, stop, base, sign, rev, budget, tables = chain
+        if tables is None:
+            top = max(hs[start:pe]) if sign == 1 else min(hs[start:pe])
+            h = sign * (top - base)
+            budget -= pe - start + stop - ss
+            chain[6] = budget
+            if budget < 0:
+                tables = chain[7] = (
+                    _first_visits(hs, start, pe, base, sign, h),
+                    _first_visits(rev, 0, stop - start, base, sign, h // 2),
+                )
+            else:
+                peak = hs.index(top, start, pe)
+        if tables is not None:
+            h = bisect_left(tables[0], pe) - 1
+            peak = tables[0][h]
     m = h // 2
     level = base + sign * m
     up = level + sign
+    # last m before the peak; the climb to the peak guarantees one exists
     before = stop - 1 - rev.index(level, stop - peak)
     try:
         after = hs.index(level, peak, pe)
     except ValueError:  # the way down from the peak leaves the prefix part
         after = hs.index(level, ss)
-    if sign * (hs[ss] - base) < m:  # the suffix part stays below level
+    if ss < stop and sign * (hs[ss] - base) < m:  # a suffix part stays below level
         last, ss_next = pe - 1, ss
     else:
         last = stop - 1 - (rev.index(level) if tables is None else tables[1][m])
@@ -327,6 +305,8 @@ def _cut_free(chain, pe, ss):
     if before + 1 - start + stop - ss_next < _COPY_BELOW:
         free = _joined(hs, start, before + 1, ss_next, stop, base, sign)
     else:
+        if chain is None:
+            chain = [hs, start, stop, base, sign, rev, stop - start, None]
         free = (chain, before + 1, ss_next)
     signs = []
     pieces = [fix, free]
@@ -398,7 +378,7 @@ def decompose_path(d: DyckPath) -> PathDecomposition:
     if max(d.heights) == 0:
         raise ValueError("cannot decompose a path of height 0")
     hs = d.heights
-    h, signs, pieces = _cut(hs, 0, len(hs), 0, 1)
+    h, signs, pieces = _cut((hs, 0, len(hs), 0, 1))
     return PathDecomposition(
         height=h,
         fix=_own(pieces[0]),
@@ -416,7 +396,7 @@ def _join(level, fix, free, spine):
     consumed as the output buffer.  The other pieces, and ``spine`` itself,
     may be any iterables.
     """
-    split = len(free) - free[::-1].index(level)
+    split = len(free) - indexOf(reversed(free), level)
     tail = free[split:]
     del free[split:]
     free += fix

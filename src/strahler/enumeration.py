@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bijection import path_to_tree
 from .dyck import DyckPath
-from .tree import LEAF, Tree, classical_hs, refined_hs, tree_to_text
+from .tree import LEAF, Tree, _flatten, classical_hs, refined_hs
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -227,15 +227,16 @@ def _path_pass(n: int) -> tuple[Histogram, list]:
     for d in all_dyck_paths(n):
         h = max(d.heights)
         acc[h] += 1
-        t = path_to_tree(d)
-        if refined_hs(t) != h:
+        _, kid, val = _flatten(path_to_tree(d))
+        if val[0] != h:
             problems.append(f"n={n} h={h}: image has wrong refined number")
             continue
-        text = tree_to_text(t)  # the dedupe key; one "(" per internal node
-        if text.count("(") != n:
+        if len(kid) != 2 * n + 1:  # one entry per node
             problems.append(f"n={n} h={h}: image has wrong size")
         else:
-            images.setdefault(h, set()).add(text)
+            # kid determines the tree; its entries are below 2n + 1 <= 61
+            # (n <= _VERIFY_MAX = 30), so each fits in a byte
+            images.setdefault(h, set()).add(bytes(kid))
     by_height = Histogram(n, dict(acc))
     for h, count in by_height.counts.items():
         got = len(images.get(h, ()))

@@ -29,6 +29,33 @@ def brute_dyck_heights(n):
     return out
 
 
+def brute_landmarks(heights):
+    """The landmarks of a path of height >= 1, straight from their
+    definitions in the ``strahler.dyck`` module docstring, as a dict keyed
+    like the fields of ``Landmarks``."""
+    h = max(heights)
+    m = h // 2
+    at_m = [i for i, x in enumerate(heights) if x == m]
+    peak = min(i for i, x in enumerate(heights) if x == h)
+    mid_before = max(i for i in at_m if i < peak)
+    mid_after = min(i for i in at_m if i > peak)
+    mid_last = max(at_m)
+    returns = tuple(i for i in at_m if mid_after <= i <= mid_last)
+    # a gap between consecutive returns lies wholly above or wholly below m
+    gaps = zip(returns, returns[1:])
+    signs = tuple(1 if min(heights[a + 1 : b]) > m else -1 for a, b in gaps)
+    return {
+        "height": h,
+        "mid": m,
+        "peak": peak,
+        "mid_before": mid_before,
+        "mid_after": mid_after,
+        "mid_last": mid_last,
+        "returns": returns,
+        "signs": signs,
+    }
+
+
 def brute_trees(n):
     """All full binary trees with n internal vertices as nested tuples;
     a leaf is None and a node is (left, right)."""

@@ -159,6 +159,20 @@ def test_verify_json(capsys):
     assert [r["objects"] for r in per_n] == [catalan(n) for n in range(4)]
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "5dc2609364ec9ef7ad0f9bb2b99a42425d83401e2a63eec973b71e7de96dcc8f"),
+        ("json", "aa90fa069b6944cf8bb646349d18aa5b9597bb27acd3bfce6f7d0d5d318818fa"),
+    ],
+)
+def test_verify_output_pinned(capsys, fmt, digest):
+    # sha256 of the whole stdout at max-n 10: any change of counts or format shows
+    code, out, _ = run(capsys, "verify", "--max-n", "10", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     # a wrong image for every path must surface as a failed run, not pass
     monkeypatch.setattr(enumeration, "path_to_tree", lambda d: LEAF)

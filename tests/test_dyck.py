@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from strahler import (
 )
 from strahler.enumeration import all_dyck_paths
 
-from oracles import brute_dyck_heights
+from oracles import brute_dyck_heights, brute_landmarks
 
 ZIGZAG = DyckPath((0, 1, 2, 1, 2, 1, 0))
 MOUNTAIN = DyckPath((0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0))
@@ -123,6 +124,13 @@ def test_landmarks_deterministic():
     d1 = DyckPath(tuple(ZIGZAG.heights))
     d2 = DyckPath(list(ZIGZAG.heights))
     assert landmarks(d1) == landmarks(d2)
+
+
+def test_landmarks_match_oracle_exhaustive():
+    # every path with 1 <= n <= 8, against the definitions recomputed by brute force
+    for n in range(1, 9):
+        for hs in brute_dyck_heights(n):
+            assert dataclasses.asdict(landmarks(DyckPath(hs))) == brute_landmarks(hs), hs
 
 
 def _check_landmarks(d):
