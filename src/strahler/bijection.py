@@ -12,33 +12,25 @@ the statistic: the image of a path of height h has refined number h.
 
 Neither direction ever shifts or reflects a height.  A path piece is held
 as offsets into the real heights it was cut from, with a ``(base, sign)``
-pair: its own heights are ``sign * (x - base)``, so reflecting a piece below
-the split level flips ``sign`` and moves ``base``, and no element is touched.
-A fix or spine piece is one range ``(hs, start, stop, base, sign)``.  A free
-piece is two ranges, a prefix and a suffix of the contiguous piece its chain
-of free pieces started from.  One function, ``dyck._cut``, cuts both forms.
-The chain shares that root's one reversed copy and, once the chain has
-scanned as many heights as the root holds, a table of first visits and one
-of last visits per level, so a cut costs what it hands to its fix and spine
-pieces plus O(log h), not the length of the free piece.  A piece that
-crosses from the prefix into the suffix is copied once, and a free piece
-shorter than ``dyck._COPY_BELOW`` is copied into one range.  A tree is
-first flattened into breadth-first index arrays (``tree._flatten``: children
-of node i at ``kid[i]`` and ``kid[i] + 1``, refined numbers in ``val``), the
-spine walk reads indices, and every piece's path is emitted straight in
-final heights from its ``(base, sign)``, so assembling a level is list
-concatenation plus one split of the free piece at its last visit to the
-split level, found by a backward scan of only the tail it splits off.
-Leaves and other pieces too small to need a cut are built inline and never
-enter the work loop.
+pair, and ``dyck._cut`` cuts it (the piece format is described in
+``dyck.py``).  A tree is first flattened into breadth-first index arrays
+(``tree._flatten``: children of node i at ``kid[i]`` and ``kid[i] + 1``,
+refined numbers in ``val``), the spine walk reads indices, and every
+piece's path is emitted straight in final heights from its ``(base,
+sign)``, so joining a level is list concatenation plus one split of the
+free piece at its last visit to the split level.  Pieces with at most two
+internal nodes are built inline.
 
 The same single-level helpers (``dyck._cut`` and ``dyck._join``,
 ``tree._spine_walk`` and ``tree._assemble_tree``) back ``landmarks``,
 ``decompose_path``, ``compose_path``, ``decompose_tree`` and
 ``compose_tree``, which normalise pieces to their own heights only at that
-API boundary.  Both directions run on an explicit work stack rather than the
-call stack, so paths of half-length around 10**6 (whose recursion can be as
-deep as the tree) convert without recursion-limit tuning.
+API boundary.  Of the pieces of a height-h level, only the free one can be
+almost as high as h: the fix piece has height ceil(h / 2) - 1 and every
+spine piece at most that, and likewise for the fix and hung subtrees of a
+tree.  So each direction walks its chain of free pieces in a loop and
+recurses only into fix and spine pieces, about log2(h) calls deep, and
+paths of half-length around 10**6 convert at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -68,35 +60,34 @@ def _small_tree(hs, start, size):
 def path_to_tree(d: DyckPath) -> Tree:
     """The tree image of d; refined number equals the height of d."""
     hs = d.heights
-    image = _small_tree(hs, 0, len(hs))
-    if image is not None:
-        return image
-    out = [None]
-    # the work stack holds pieces waiting to be cut, (piece, dest, slot), and
-    # assembly frames, (h, signs, parts, dest, slot), that run once every
-    # slot of ``parts`` is filled; a result lands in dest[slot]
-    stack: list = [((hs, 0, len(hs), 0, 1), out, 0)]
-    while stack:
-        task = stack.pop()
-        if len(task) == 3:
-            piece, dest, slot = task
-            h, signs, pieces = _cut(piece)
-            parts = [LEAF] * len(pieces)  # a one-height piece is a leaf
-            stack.append((h, signs, parts, dest, slot))
-            for j, p in enumerate(pieces):
-                if len(p) != 5:  # two ranges hold at least dyck._COPY_BELOW heights
-                    stack.append((p, parts, j))
-                    continue
+    return _small_tree(hs, 0, len(hs)) or _tree((hs, 0, len(hs), 0, 1))
+
+
+def _tree(piece):
+    """The image of a piece too big for ``_small_tree``.
+
+    The loop cuts the chain of free pieces down to a small one; then, on the
+    way back up, each level's fix and spine pieces are converted and the
+    level is assembled.  Only those pieces recurse, and their height is at
+    most ceil(h / 2) - 1, so the recursion is about log2(h) deep.
+    """
+    levels = []
+    while len(piece) != 5 or piece[2] - piece[1] > 5:  # two ranges are never small
+        h, signs, parts = _cut(piece)
+        piece = parts[1]
+        parts[1] = None  # drop the free piece, so its chain is freed once cut
+        levels.append((h, signs, parts))
+    node = _small_tree(piece[0], piece[1], piece[2] - piece[1])
+    while levels:
+        h, signs, parts = levels.pop()
+        for j, p in enumerate(parts):
+            if j != 1:
                 size = p[2] - p[1]
-                if size > 5:
-                    stack.append((p, parts, j))
-                elif size > 1:
-                    parts[j] = _small_tree(p[0], p[1], size)
-        else:
-            h, signs, parts, dest, slot = task
-            # sign +1 hangs its subtree in slot 1 (left), -1 in slot 2
-            dest[slot] = _assemble_tree(h, signs, parts)
-    return out[0]
+                parts[j] = LEAF if size == 1 else _small_tree(p[0], p[1], size) or _tree(p)
+        parts[1] = node
+        # sign +1 hangs its subtree in slot 1 (left), -1 in slot 2
+        node = _assemble_tree(h, signs, parts)
+    return node
 
 
 def _small_path(kid, val, i, base, sign):
@@ -124,37 +115,40 @@ def _small_path(kid, val, i, base, sign):
 def tree_to_path(t: Tree) -> DyckPath:
     """The unique path mapping to t under path_to_tree."""
     _, kid, val = _flatten(t)
-    path = _small_path(kid, val, 0, 0, 1)
-    if path is not None:
-        return DyckPath._wrap(path)
-    out = [None]
-    # the work stack holds subtrees waiting to be cut, (i, base, sign, dest,
-    # slot), and assembly frames, (level, parts, dest, slot), that run once
-    # every slot of ``parts`` is filled; each piece is emitted directly in
-    # final heights, so assembly only concatenates
-    stack: list = [(0, 0, 1, out, 0)]
-    while stack:
-        task = stack.pop()
-        if len(task) == 5:
-            i, base, sign, dest, slot = task
-            h, slots, subtrees = _spine_walk(kid, val, i)
-            level = base + sign * (h // 2)
-            above = (level + sign, sign)
-            below = (level - sign, -sign)  # reflected
-            places = [above, (base, sign)]  # the fix and free subtrees
-            places += [above if side == 1 else below for side in slots]
-            parts = [None] * len(subtrees)
-            stack.append((level, parts, dest, slot))
-            for j, (k, (b, s)) in enumerate(zip(subtrees, places)):
-                path = _small_path(kid, val, k, b, s)
-                if path is None:
-                    stack.append((k, b, s, parts, j))
-                else:
-                    parts[j] = path
-        else:
-            level, parts, dest, slot = task
-            dest[slot] = _join(level, parts[0], parts[1], parts[2:])
-    return DyckPath._wrap(out[0])
+    return DyckPath._wrap(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1))
+
+
+def _path(kid, val, i, base, sign):
+    """The final heights for the subtree at index i, placed at (base, sign),
+    when ``_small_path`` gives None.
+
+    The loop walks the chain of free subtrees, all placed at (base, sign),
+    down to a small one; then, on the way back up, each level's fix and hung
+    subtrees are converted and joined to it.  Only those subtrees recurse,
+    and their refined number is at most ceil(h / 2) - 1, so the recursion is
+    about log2(h) deep.
+    """
+    levels = []
+    path = None
+    while path is None:
+        h, slots, parts = _spine_walk(kid, val, i)
+        levels.append((base + sign * (h // 2), slots, parts))
+        i = parts[1]
+        path = _small_path(kid, val, i, base, sign)
+    while levels:
+        level, slots, parts = levels.pop()
+        for j, k in enumerate(parts):
+            if j == 1:
+                continue
+            # the fix subtree and slot-1 subtrees sit above the split level,
+            # slot-2 subtrees reflected below it
+            if j == 0 or slots[j - 2] == 1:
+                b, s = level + sign, sign
+            else:
+                b, s = level - sign, -sign
+            parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+        path = _join(level, parts[0], path, parts[2:])
+    return path
 
 
 def golden_witness() -> tuple[DyckPath, Tree]:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -165,7 +166,7 @@ def _reflected_rising(k=41):
 
 
 def test_round_trip_deep_shapes():
-    # tall mountain and flat sawtooth exercise the explicit work stack
+    # a tall mountain and a flat sawtooth at the default recursion limit
     n = 30_000
     mountain = DyckPath(tuple(range(n + 1)) + tuple(range(n - 1, -1, -1)))
     t = path_to_tree(mountain)
@@ -188,6 +189,31 @@ def test_round_trip_deep_shapes():
         d = tree_to_path(t)
         assert height(d) == refined_hs(t)
         assert path_to_tree(d) == t
+
+
+def test_conversion_recursion_is_logarithmic():
+    # only fix and spine pieces recurse, and their height is at most
+    # ceil(h / 2) - 1; the free chain is a loop, so 40 frames above the
+    # caller's own suffice for h = 65 535 and a 400-level free chain
+    frames = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frames += 1
+        frame = frame.f_back
+    n = 30_000
+    mountain = DyckPath(tuple(range(n + 1)) + tuple(range(n - 1, -1, -1)))
+    rising = _mountains(range(1, 401))
+    big = complete_binary(16)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 40)
+    try:
+        for d in (mountain, rising):
+            assert tree_to_path(path_to_tree(d)) == d
+        d = tree_to_path(big)
+        assert height(d) == 2**16 - 1
+        assert path_to_tree(d) == big
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _digest(lines):
