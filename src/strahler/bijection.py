@@ -31,12 +31,17 @@ spine piece at most that, and likewise for the fix and hung subtrees of a
 tree.  So each direction walks its chain of free pieces in a loop and
 recurses only into fix and spine pieces, about log2(h) calls deep, and
 paths of half-length around 10**6 convert at the default recursion limit.
+
+The CLI's ``d2t`` and ``t2d`` never build a ``Tree``.  ``_image_text`` cuts
+a path as ``path_to_tree`` does and writes the image's text instead, and
+``_preimage_steps`` walks the ``kid`` array that ``tree._scan`` reads from
+text with the same ``_path``.
 """
 
 from __future__ import annotations
 
-from .dyck import DyckPath, _cut, _join
-from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk
+from .dyck import DyckPath, _cut, _join, _steps
+from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk, _values
 
 
 def _small_tree(hs, start, size):
@@ -90,6 +95,63 @@ def _tree(piece):
     return node
 
 
+def _small_text(hs, start, size):
+    """The text of ``_small_tree(hs, start, size)``, or None."""
+    if size == 1:
+        return "."
+    if size == 3:
+        return "(..)"
+    if size == 5:
+        return "(.(..))" if hs[start + 2] == hs[start] else "((..).)"
+    return None
+
+
+def _image_text(hs) -> str:
+    """The text of the image of the path with heights hs, built as text."""
+    return _small_text(hs, 0, len(hs)) or _tree_text((hs, 0, len(hs), 0, 1))
+
+
+def _tree_text(piece):
+    """The text of ``_tree(piece)``, from the same cuts.
+
+    Each level of the free chain wraps the free piece's text in text before
+    and after it, so both are collected, level by level, and joined once:
+    joining per level would copy the inner text once per level, about
+    n**1.5 characters on rising mountains.
+    """
+    levels = []
+    while len(piece) != 5 or piece[2] - piece[1] > 5:
+        h, signs, parts = _cut(piece)
+        piece = parts[1]
+        parts[1] = None  # as in _tree, so the chain is freed once cut
+        levels.append((h, signs, parts))
+    head = []  # the text before the free piece's, back to front
+    tail = [_small_text(piece[0], piece[1], piece[2] - piece[1])]
+    while levels:
+        h, signs, parts = levels.pop()
+        for j, p in enumerate(parts):
+            if j != 1:
+                size = p[2] - p[1]
+                parts[j] = "." if size == 1 else _small_text(p[0], p[1], size) or _tree_text(p)
+        # the level's tree as _assemble_tree builds it, from the spine vertex up
+        if h % 2 == 0:
+            head.append("(")
+            tail += parts[0], ")"
+        else:
+            head += parts[0], "("
+            tail.append(")")
+        for j in range(len(signs) - 1, -1, -1):
+            if signs[j] == 1:
+                head += parts[j + 2], "("
+                tail.append(")")
+            else:
+                head.append("(")
+                tail += parts[j + 2], ")"
+    head.reverse()
+    head += tail
+    return "".join(head)
+
+
 def _small_path(kid, val, i, base, sign):
     """The final heights for the subtree at index i, placed at (base, sign),
     when it has at most two internal nodes or is a right comb (refined
@@ -116,6 +178,13 @@ def tree_to_path(t: Tree) -> DyckPath:
     """The unique path mapping to t under path_to_tree."""
     _, kid, val = _flatten(t)
     return DyckPath._wrap(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1))
+
+
+def _preimage_steps(kid) -> str:
+    """The U/D steps of the preimage of the tree with ``tree._scan`` array
+    kid."""
+    val = _values(kid)
+    return _steps(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1))
 
 
 def _path(kid, val, i, base, sign):

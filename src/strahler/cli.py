@@ -14,6 +14,9 @@ verify --max-n N      exhaustive equidistribution check
 TREE arguments use the canonical text form (leaf ``.``, node ``(LR)``); PATH
 arguments accept a U/D step string or a comma-separated height sequence, and
 are always printed as U/D.  Passing ``-`` reads the value from stdin.
+``d2t``, ``t2d`` and ``hs`` never build a ``Tree``: they go between text and
+heights directly, with the same cuts, outputs and parse errors as the
+library's ``path_to_tree``, ``tree_to_path`` and ``parse_tree``.
 
 ``--format json`` emits the same content as line-delimited JSON.  Exit
 status: 0 on success, 1 if ``verify`` found a mismatch, 2 on usage or parse
@@ -26,17 +29,10 @@ import argparse
 import json
 import sys
 
-from .bijection import path_to_tree, tree_to_path
+from .bijection import _image_text, _preimage_steps
 from .dyck import decompose_path, parse_path
 from .enumeration import all_dyck_paths, all_full_binary_trees, verify_equidistribution
-from .tree import (
-    classical_hs,
-    decompose_tree,
-    parse_tree,
-    refined_hs,
-    tau,
-    tree_to_text,
-)
+from .tree import _scan, _values, decompose_tree, parse_tree, tau, tree_to_text
 
 
 def _value(arg: str) -> str:
@@ -61,9 +57,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_hs(args) -> int:
-    t = parse_tree(_value(args.tree))
-    refined = refined_hs(t)
-    classical = classical_hs(t)
+    refined = _values(_scan(_value(args.tree)))[0]
+    classical = (1 + refined).bit_length() - 1
     _emit(
         args.format,
         [f"refined {refined}", f"classical {classical}"],
@@ -73,15 +68,13 @@ def _cmd_hs(args) -> int:
 
 
 def _cmd_d2t(args) -> int:
-    d = parse_path(_value(args.path))
-    text = tree_to_text(path_to_tree(d))
+    text = _image_text(parse_path(_value(args.path)).heights)
     _emit(args.format, [text], {"tree": text})
     return 0
 
 
 def _cmd_t2d(args) -> int:
-    t = parse_tree(_value(args.tree))
-    steps = tree_to_path(t).steps()
+    steps = _preimage_steps(_scan(_value(args.tree)))
     _emit(args.format, [steps], {"path": steps})
     return 0
 

@@ -35,7 +35,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, indexOf, sub
+from operator import add, indexOf, lt, sub
 
 
 class DyckPath:
@@ -93,8 +93,7 @@ class DyckPath:
 
     def steps(self) -> str:
         """The canonical U/D step string."""
-        hs = self.heights
-        return "".join("U" if b > a else "D" for a, b in zip(hs, hs[1:]))
+        return _steps(self.heights)
 
     def __eq__(self, other):
         if not isinstance(other, DyckPath):
@@ -110,6 +109,12 @@ class DyckPath:
 
 _store_heights = DyckPath.heights.__set__  # the slot's own store, past __setattr__
 EMPTY_PATH = DyckPath()
+_UD = bytes.maketrans(b"\0\1", b"DU")  # a step's byte is 1 when it goes up
+
+
+def _steps(hs) -> str:
+    """The U/D step string of a height sequence."""
+    return bytes(map(lt, hs, hs[1:])).translate(_UD).decode()
 
 
 def parse_path(text: str) -> DyckPath:

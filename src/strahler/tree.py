@@ -99,41 +99,77 @@ _CLOSE = object()  # sentinel for the iterative serializer
 
 def parse_tree(text: str) -> Tree:
     """Parse the canonical text format; reject malformed or non-full input."""
+    kid = _scan(text)
+    nodes = [LEAF] * len(kid)
+    for i in range(len(kid) - 1, -1, -1):  # children come after their parent
+        k = kid[i]
+        if k:
+            nodes[i] = Tree(nodes[k], nodes[k + 1])
+    return nodes[0]
+
+
+_PAIR = (0, 0)  # the two child slots _scan allocates per internal node
+
+
+def _scan(text: str) -> list:
+    """The ``kid`` array of the tree that ``text`` spells, in one pass.
+
+    Node 0 is the root; a node's two children get the next two free indices
+    when its ``(`` opens, so ``kid[i]`` and ``kid[i] + 1`` are the children
+    of node i, both after it, and ``kid[i]`` is 0 for a leaf: the layout
+    ``_flatten`` gives, in preorder.  Malformed or non-full text raises the
+    ``ValueError`` of the first offending character.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty tree text")
-    stack: list[list[Tree]] = []
-    root = None
+    kid = [0]
+    # one entry per open node: the index of its right child while the left
+    # subtree is open, then 0 while the right one is, then -1 once both closed
+    stack = []
+    slot = 0  # where the next subtree goes
     for i, c in enumerate(s):
         if c == "(":
-            if root is not None:
-                raise ValueError(f"trailing content at index {i}")
-            stack.append([])
+            # in a node that has two subtrees already this overwrites one of
+            # them, but such text always ends in a ValueError
+            j = len(kid)
+            kid[slot] = j
+            kid += _PAIR
+            stack.append(j + 1)
+            slot = j
             continue
-        if c == ".":
-            node = LEAF
-        elif c == ")":
+        if c == ")":
             if not stack:
                 raise ValueError(f"unmatched ')' at index {i}")
-            kids = stack.pop()
-            if len(kids) != 2:
+            state = stack.pop()
+            if state != -1:
                 raise ValueError(
-                    f"node closed at index {i} with {len(kids)} subtrees, need 2"
+                    f"node closed at index {i} with {0 if state > 0 else 1} subtrees, need 2"
                 )
-            node = Tree(kids[0], kids[1])
-        else:
+        elif c != ".":
             raise ValueError(f"bad character {c!r} at index {i}")
-        if stack:
-            stack[-1].append(node)
-            if len(stack[-1]) > 2:
-                raise ValueError(f"more than two subtrees before index {i}")
-        elif root is None:
-            root = node
+        # a subtree ended at i
+        if not stack:
+            break
+        state = stack[-1]
+        if state > 0:
+            slot = state
+            stack[-1] = 0
+        elif state == 0:
+            stack[-1] = -1
         else:
-            raise ValueError(f"trailing content at index {i}")
-    if stack:
+            raise ValueError(f"more than two subtrees before index {i}")
+    else:
         raise ValueError("unclosed '('")
-    return root
+    i += 1  # the root's subtree ended before i: nothing may follow it
+    if i < len(s):
+        c = s[i]
+        if c == ")":
+            raise ValueError(f"unmatched ')' at index {i}")
+        if c not in "(.":
+            raise ValueError(f"bad character {c!r} at index {i}")
+        raise ValueError(f"trailing content at index {i}")
+    return kid
 
 
 def tree_to_text(t: Tree) -> str:
@@ -303,9 +339,15 @@ def _flatten(t: Tree):
             mark(len(nodes))
             push(left)
             push(node.right)
+    return nodes, kid, _values(kid)
+
+
+def _values(kid: list) -> list:
+    """The refined number of every subtree of a ``kid`` array, as a list
+    ``val`` over the same indices."""
     # children come after their parent, so sweep backwards
-    val = [0] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
+    val = [0] * len(kid)
+    for i in range(len(kid) - 1, -1, -1):
         k = kid[i]
         if not k:
             continue
@@ -324,7 +366,7 @@ def _flatten(t: Tree):
         else:
             s = 2 * a + 1
         val[i] = s
-    return nodes, kid, val
+    return val
 
 
 def refined_hs(t: Tree) -> int:

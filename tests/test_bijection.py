@@ -26,12 +26,14 @@ from strahler import (
     tree_to_path,
     tree_to_text,
 )
+from strahler.bijection import _image_text, _preimage_steps
 from strahler.enumeration import (
     all_dyck_paths,
     all_full_binary_trees,
     catalan,
     histogram_by_height,
 )
+from strahler.tree import _scan
 
 
 def dyck_paths(max_n=60):
@@ -204,6 +206,10 @@ def test_conversion_recursion_is_logarithmic():
     mountain = DyckPath(tuple(range(n + 1)) + tuple(range(n - 1, -1, -1)))
     rising = _mountains(range(1, 401))
     big = complete_binary(16)
+    big_text = tree_to_text(big)
+    big_path = tree_to_path(big)
+    comb = 10**5
+    comb_text = "(" * comb + "." + ".)" * comb  # a left comb
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frames + 40)
     try:
@@ -212,6 +218,12 @@ def test_conversion_recursion_is_logarithmic():
         d = tree_to_path(big)
         assert height(d) == 2**16 - 1
         assert path_to_tree(d) == big
+        # the CLI's text ends cut and walk the same way
+        for d in (mountain, rising):
+            assert _preimage_steps(_scan(_image_text(d.heights))) == d.steps()
+        assert _image_text(big_path.heights) == big_text
+        assert _preimage_steps(_scan(big_text)) == big_path.steps()
+        assert _preimage_steps(_scan(comb_text)) == "UUDD" + "UD" * (comb - 2)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -225,16 +237,25 @@ def _digest(lines):
 
 def test_outputs_pinned_exhaustive_small():
     # sha256 of every image for n <= 9, in enumeration order, one per line;
-    # any change to either conversion's output changes a digest
+    # any change to either conversion's output changes a digest, and the
+    # CLI's text ends must give the same bytes
     ns = range(10)
-    images = (tree_to_text(path_to_tree(d)) for n in ns for d in all_dyck_paths(n))
-    assert _digest(images) == (
-        "e92c9b6b51cc1c890a0d6dcee69395529013372490d10584264ce2337d58cab6"
-    )
-    preimages = (tree_to_path(t).steps() for n in ns for t in all_full_binary_trees(n))
-    assert _digest(preimages) == (
-        "aac8c138b13869dda0a1a78a2821bb8952b31a89f7a67743909a9f29fe65bd41"
-    )
+    paths = [d for n in ns for d in all_dyck_paths(n)]
+    for images in (
+        (tree_to_text(path_to_tree(d)) for d in paths),
+        (_image_text(d.heights) for d in paths),
+    ):
+        assert _digest(images) == (
+            "e92c9b6b51cc1c890a0d6dcee69395529013372490d10584264ce2337d58cab6"
+        )
+    trees = [t for n in ns for t in all_full_binary_trees(n)]
+    for preimages in (
+        (tree_to_path(t).steps() for t in trees),
+        (_preimage_steps(_scan(tree_to_text(t))) for t in trees),
+    ):
+        assert _digest(preimages) == (
+            "aac8c138b13869dda0a1a78a2821bb8952b31a89f7a67743909a9f29fe65bd41"
+        )
 
 
 def test_outputs_pinned_free_chains():
@@ -246,6 +267,10 @@ def test_outputs_pinned_free_chains():
     rising = range(1, 63)
     paths = [_long_tail(), _reflected_rising(), _mountains(rising), _mountains(reversed(rising))]
     paths += [random_path(1000, rng) for _ in range(200)]
-    assert _digest(tree_to_text(path_to_tree(d)) for d in paths) == (
-        "f402e37e138f749505ad147eee9b48ef3b519c3becab32dbd7e3fe7a23691a19"
-    )
+    for images in (
+        (tree_to_text(path_to_tree(d)) for d in paths),
+        (_image_text(d.heights) for d in paths),
+    ):
+        assert _digest(images) == (
+            "f402e37e138f749505ad147eee9b48ef3b519c3becab32dbd7e3fe7a23691a19"
+        )

@@ -23,6 +23,7 @@ from strahler import (
     tree_vertices,
     vertex_count,
 )
+from strahler.cli import main
 from strahler.enumeration import all_full_binary_trees
 
 from oracles import brute_can_embed, brute_trees, tuple_tree_vertices
@@ -44,13 +45,34 @@ def test_parse_round_trip():
         assert tree_to_text(parse_tree(text)) == text
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "(", ")", "(.)", "(...)", "()", "(..", "..", "(..).", "(..)x", "x", "((..)..)"],
-)
-def test_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+# each malformed text and the message of its ValueError
+MALFORMED = {
+    "": "empty tree text",
+    "(": "unclosed '('",
+    ")": "unmatched ')' at index 0",
+    "(.)": "node closed at index 2 with 1 subtrees, need 2",
+    "(...)": "more than two subtrees before index 3",
+    "()": "node closed at index 1 with 0 subtrees, need 2",
+    "(..": "unclosed '('",
+    "..": "trailing content at index 1",
+    "(..).": "trailing content at index 4",
+    "(..)x": "bad character 'x' at index 4",
+    "x": "bad character 'x' at index 0",
+    "((..)..)": "more than two subtrees before index 6",
+    "(..)(": "trailing content at index 4",
+}
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_parse_rejects_malformed(capsys, bad):
+    message = MALFORMED[bad]
+    with pytest.raises(ValueError) as exc:
         parse_tree(bad)
+    assert str(exc.value) == message
+    # the CLI reads tree text with its own scan, and must fail the same way
+    assert main(["t2d", bad]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 def test_structural_equality():
