@@ -76,14 +76,11 @@ class DyckPath:
     @classmethod
     def from_steps(cls, steps: str) -> "DyckPath":
         """Build from a U/D step string; '' gives the empty path."""
-        deltas = []
-        for i, c in enumerate(steps):
-            if c == "U":
-                deltas.append(1)
-            elif c == "D":
-                deltas.append(-1)
-            else:
-                raise ValueError(f"bad step character {c!r} at index {i}")
+        try:
+            deltas = list(map(_STEP.__getitem__, steps))
+        except KeyError:
+            i, c = next((i, c) for i, c in enumerate(steps) if c not in _STEP)
+            raise ValueError(f"bad step character {c!r} at index {i}") from None
         return cls(accumulate(deltas, initial=0))
 
     @property
@@ -110,6 +107,7 @@ class DyckPath:
 _store_heights = DyckPath.heights.__set__  # the slot's own store, past __setattr__
 EMPTY_PATH = DyckPath()
 _UD = bytes.maketrans(b"\0\1", b"DU")  # a step's byte is 1 when it goes up
+_STEP = {"U": 1, "D": -1}  # a step character's change of height
 
 
 def _steps(hs) -> str:

@@ -8,11 +8,16 @@ Order guarantees (fixed, so streamed output is reproducible byte for byte):
   of their canonical text form ('(' before '.').
 
 Both generators are successors over one height list of length 2n + 1,
-rewritten in place, so they stream in O(n) memory.
+rewritten in place, so they stream in O(n) memory.  A tree's word is read
+into the ``kid`` array of ``tree._scan``, and ``all_full_binary_trees``
+builds from it with ``tree._build``, as ``parse_tree`` does.  The histograms
+read the words and build no ``DyckPath`` or ``Tree``: the height is the
+word's maximum, the refined number is ``tree._values`` of the ``kid`` array,
+and the classical histogram is the dyadic grouping of the refined one until
+the classical number is computed on its own.
 ``verify_equidistribution`` walks each family once per n, serially: one pass
 over the paths builds the height histogram and checks every image of
 ``path_to_tree``, and one pass over the trees builds the refined histogram.
-The classical histogram it reports is the dyadic grouping of the refined one.
 
 Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 ``verify_equidistribution`` refuses max_n > 30 rather than overflow.
@@ -26,7 +31,7 @@ from math import comb
 
 from .bijection import path_to_tree
 from .dyck import DyckPath
-from .tree import LEAF, Tree, _flatten, classical_hs, refined_hs
+from .tree import _build, _flatten, _values
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -47,6 +52,8 @@ def catalan(n: int) -> int:
 def _dyck_heights(n: int):
     """Heights of all Dyck paths of half-length n, ascending in ASCII
     (D-before-U) order of their step words; one list, rewritten in place."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     hs = [0, 1] * n + [0]  # the smallest: descend whenever possible
     end = 2 * n
     while True:
@@ -73,6 +80,8 @@ def _tree_heights(n: int):
     is U, the left subtree, D, the right subtree.  This order makes the
     decoded trees ascend in ASCII order of their canonical text.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     hs = [*range(n), *range(n, -1, -1)]  # the smallest: all up, then down
     end = 2 * n
     while True:
@@ -90,24 +99,28 @@ def _tree_heights(n: int):
         hs[i + 1 :] = [*range(h, top), *range(top, -1, -1)]
 
 
-def _decode_tree(hs) -> Tree:
-    """Decode first-return heights on an explicit stack, so any depth works."""
-    # read right to left: a leaf sits at the end and just before each
-    # down-step, and an up-step joins the top two subtrees as (left, right)
-    stack = [LEAF]
-    for i in range(len(hs) - 2, -1, -1):
-        if hs[i + 1] < hs[i]:
-            stack.append(LEAF)
-        else:
-            left = stack.pop()
-            stack[-1] = Tree(left, stack[-1])
-    return stack[0]
+def _word_kid(hs) -> list:
+    """The ``kid`` array, in ``tree._scan``'s layout, of first-return heights."""
+    # read left to right: an up-step opens a node in the current slot and
+    # saves its right slot, and a down-step moves on to the last saved one
+    kid = [0]
+    rights = []
+    slot = x = 0
+    for y in hs:
+        if y > x:
+            j = len(kid)
+            kid[slot] = j
+            kid += (0, 0)
+            rights.append(j + 1)
+            slot = j
+        elif y < x:
+            slot = rights.pop()
+        x = y
+    return kid
 
 
 def all_dyck_paths(n: int):
     """Every Dyck path of half-length n, exactly once, in step-lex order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     for hs in _dyck_heights(n):
         # valid by construction, so DyckPath's own checks are skipped
         yield DyckPath._wrap(hs)
@@ -115,10 +128,8 @@ def all_dyck_paths(n: int):
 
 def all_full_binary_trees(n: int):
     """Every full binary tree with n internal vertices, exactly once."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     for hs in _tree_heights(n):
-        yield _decode_tree(hs)
+        yield _build(_word_kid(hs))
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +158,19 @@ class Histogram:
 
 def histogram_by_height(n: int) -> Histogram:
     """counts[h] = number of paths of half-length n with height h."""
-    acc: Counter = Counter()
-    for d in all_dyck_paths(n):
-        acc[max(d.heights)] += 1
-    return Histogram(n, dict(acc))
+    return Histogram(n, dict(Counter(map(max, _dyck_heights(n)))))
 
 
 def histogram_by_refined_hs(n: int) -> Histogram:
     """counts[h] = number of size-n trees with refined number h."""
-    acc: Counter = Counter()
-    for t in all_full_binary_trees(n):
-        acc[refined_hs(t)] += 1
-    return Histogram(n, dict(acc))
+    refined = (_values(_word_kid(hs))[0] for hs in _tree_heights(n))
+    return Histogram(n, dict(Counter(refined)))
 
 
 def histogram_by_classical_hs(n: int) -> Histogram:
-    """counts[s] = number of size-n trees with classical number s."""
-    acc: Counter = Counter()
-    for t in all_full_binary_trees(n):
-        acc[classical_hs(t)] += 1
-    return Histogram(n, dict(acc))
+    """counts[s] = number of size-n trees with classical number s: the dyadic
+    grouping of the refined histogram, which is how ``classical_hs`` is defined."""
+    return aggregate_dyadic(histogram_by_refined_hs(n))
 
 
 def aggregate_dyadic(hist: Histogram) -> Histogram:

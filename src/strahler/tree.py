@@ -99,7 +99,11 @@ _CLOSE = object()  # sentinel for the iterative serializer
 
 def parse_tree(text: str) -> Tree:
     """Parse the canonical text format; reject malformed or non-full input."""
-    kid = _scan(text)
+    return _build(_scan(text))
+
+
+def _build(kid: list) -> Tree:
+    """The tree of a ``kid`` array in ``_scan``'s layout."""
     nodes = [LEAF] * len(kid)
     for i in range(len(kid) - 1, -1, -1):  # children come after their parent
         k = kid[i]

@@ -52,12 +52,15 @@ def test_rejects_bad_heights(bad):
 def test_from_steps():
     assert DyckPath.from_steps("UUDUDD") == ZIGZAG
     assert DyckPath.from_steps("") == EMPTY_PATH
-    with pytest.raises(ValueError):
-        DyckPath.from_steps("UX")
-    with pytest.raises(ValueError):
-        DyckPath.from_steps("DU")
-    with pytest.raises(ValueError):
-        DyckPath.from_steps("UUD")
+    for steps, message in (
+        ("UX", "bad step character 'X' at index 1"),
+        ("UDxUy", "bad step character 'x' at index 2"),
+        ("DU", "height sequence must be nonnegative"),
+        ("UUD", "height sequence must start and end at 0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            DyckPath.from_steps(steps)
+        assert str(info.value) == message
 
 
 def test_parse_path_both_formats():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from strahler import enumeration
@@ -8,10 +10,13 @@ from strahler import (
     aggregate_dyadic,
     all_dyck_paths,
     all_full_binary_trees,
+    can_embed,
     catalan,
+    complete_binary,
     histogram_by_classical_hs,
     histogram_by_height,
     histogram_by_refined_hs,
+    refined_hs_oracle,
     tree_to_text,
     verify_equidistribution,
 )
@@ -57,6 +62,8 @@ def test_paths_prefix_validation():
         list(all_dyck_paths(2, prefix="U"))
     with pytest.raises(ValueError):
         list(all_dyck_paths(-1))
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        histogram_by_height(-1)
 
 
 def test_trees_match_brute_force():
@@ -72,6 +79,10 @@ def test_tree_shard_validation():
         list(all_full_binary_trees(3, left_size=1))
     with pytest.raises(ValueError):
         list(all_full_binary_trees(-1))
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        histogram_by_refined_hs(-1)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        histogram_by_classical_hs(-1)
 
 
 def test_trees_in_text_order():
@@ -122,13 +133,22 @@ def test_histogram_by_classical_hs_examples():
 
 
 def test_histograms_against_brute_force():
-    for n in range(7):
-        heights = {}
-        for hs in brute_dyck_heights(n):
-            heights[max(hs)] = heights.get(max(hs), 0) + 1
-        assert histogram_by_height(n).counts == heights
+    def build(t):
+        return LEAF if t is None else Tree(build(t[0]), build(t[1]))
+
+    def classical(t):
+        # the largest s with complete_binary(s) embeddable, by the embedding search
+        s = 0
+        while can_embed(complete_binary(s + 1), t):
+            s += 1
+        return s
+
+    for n in range(9):
+        assert histogram_by_height(n).counts == Counter(map(max, brute_dyck_heights(n)))
         assert histogram_by_height(n).total() == catalan(n)
-        assert histogram_by_refined_hs(n).total() == catalan(n)
+        trees = [build(t) for t in brute_trees(n)]
+        assert histogram_by_refined_hs(n).counts == Counter(map(refined_hs_oracle, trees))
+        assert histogram_by_classical_hs(n).counts == Counter(map(classical, trees))
 
 
 def test_dyadic_aggregation():
@@ -182,6 +202,7 @@ def test_verify_reports_wrong_images(monkeypatch):
 
 
 def test_verify_walks_each_family_once_per_n(monkeypatch):
+    # count the word generators, which every pass over a family goes through
     calls = {"paths": 0, "trees": 0}
 
     def counting(kind, stream):
@@ -191,12 +212,10 @@ def test_verify_walks_each_family_once_per_n(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        enumeration, "all_dyck_paths", counting("paths", enumeration.all_dyck_paths)
+        enumeration, "_dyck_heights", counting("paths", enumeration._dyck_heights)
     )
     monkeypatch.setattr(
-        enumeration,
-        "all_full_binary_trees",
-        counting("trees", enumeration.all_full_binary_trees),
+        enumeration, "_tree_heights", counting("trees", enumeration._tree_heights)
     )
     assert verify_equidistribution(6).ok
     assert calls == {"paths": 7, "trees": 7}
