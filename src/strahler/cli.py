@@ -18,9 +18,9 @@ are always printed as U/D.  Passing ``-`` reads the value from stdin.
 heights directly, with the same cuts, outputs and parse errors as the
 library's ``path_to_tree``, ``tree_to_path`` and ``parse_tree``.
 
-``--format json`` emits the same content as line-delimited JSON.  Exit
-status: 0 on success, 1 if ``verify`` found a mismatch, 2 on usage or parse
-errors.
+``--format json`` emits the same content as line-delimited JSON; it may come
+before or after the subcommand.  Exit status: 0 on success, 1 if ``verify``
+found a mismatch, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def _emit(fmt: str, text_lines, json_obj) -> None:
 
 def _cmd_tau(args) -> int:
     if args.r < 0:
-        print("error: R must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("R must be >= 0")
     text = tree_to_text(tau(args.r))
     _emit(args.format, [text], {"r": args.r, "tree": text})
     return 0
@@ -81,17 +80,15 @@ def _cmd_t2d(args) -> int:
 
 def _cmd_decompose_tree(args) -> int:
     parts = decompose_tree(parse_tree(_value(args.tree)))
-    lines = [
-        f"h {parts.hs}",
-        f"fix {tree_to_text(parts.fix)}",
-        f"free {tree_to_text(parts.free)}",
-    ]
-    lines += [f"spine {side} {tree_to_text(sub)}" for side, sub in parts.spine]
+    fix, free = tree_to_text(parts.fix), tree_to_text(parts.free)
+    spine = [(side, tree_to_text(sub)) for side, sub in parts.spine]
+    lines = [f"h {parts.hs}", f"fix {fix}", f"free {free}"]
+    lines += [f"spine {side} {text}" for side, text in spine]
     obj = {
         "h": parts.hs,
-        "fix": tree_to_text(parts.fix),
-        "free": tree_to_text(parts.free),
-        "spine": [{"side": side, "tree": tree_to_text(sub)} for side, sub in parts.spine],
+        "fix": fix,
+        "free": free,
+        "spine": [{"side": side, "tree": text} for side, text in spine],
     }
     _emit(args.format, lines, obj)
     return 0
@@ -99,17 +96,15 @@ def _cmd_decompose_tree(args) -> int:
 
 def _cmd_decompose_path(args) -> int:
     parts = decompose_path(parse_path(_value(args.path)))
-    lines = [
-        f"h {parts.height}",
-        f"fix {parts.fix.steps()}".rstrip(),
-        f"free {parts.free.steps()}".rstrip(),
-    ]
-    lines += [f"spine {e:+d} {p.steps()}".rstrip() for e, p in parts.spine]
+    fix, free = parts.fix.steps(), parts.free.steps()
+    spine = [(e, p.steps()) for e, p in parts.spine]
+    lines = [f"h {parts.height}", f"fix {fix}".rstrip(), f"free {free}".rstrip()]
+    lines += [f"spine {e:+d} {steps}".rstrip() for e, steps in spine]
     obj = {
         "h": parts.height,
-        "fix": parts.fix.steps(),
-        "free": parts.free.steps(),
-        "spine": [{"sign": e, "path": p.steps()} for e, p in parts.spine],
+        "fix": fix,
+        "free": free,
+        "spine": [{"sign": e, "path": steps} for e, steps in spine],
     }
     _emit(args.format, lines, obj)
     return 0
@@ -117,16 +112,15 @@ def _cmd_decompose_path(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--n must be >= 0")
     if args.side == "paths":
         for d in all_dyck_paths(args.n):
             steps = d.steps()
-            print(json.dumps({"path": steps}) if args.format == "json" else steps)
+            _emit(args.format, [steps], {"path": steps})
     else:
         for t in all_full_binary_trees(args.n):
             text = tree_to_text(t)
-            print(json.dumps({"tree": text}) if args.format == "json" else text)
+            _emit(args.format, [text], {"tree": text})
     return 0
 
 
@@ -180,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Refined Horton-Strahler numbers, Dyck paths, and their bijection.",
         parents=[common],
     )
-    parser.set_defaults(format="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tau", parents=[common], help="print the R-th interpolating tree")
@@ -221,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(format="text"))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -65,11 +65,7 @@ class Tree:
         return True
 
     def __repr__(self):
-        return f"Tree.parse({tree_to_text(self)!r})"
-
-    @staticmethod
-    def parse(text: str) -> "Tree":
-        return parse_tree(text)
+        return f"parse_tree({tree_to_text(self)!r})"
 
 
 class _Leaf(Tree):

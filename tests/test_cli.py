@@ -24,6 +24,14 @@ def test_tau(capsys):
     assert out == "((..)(..))\n"
 
 
+def test_format_before_the_subcommand(capsys):
+    code, out, _ = run(capsys, "--format", "json", "tau", "3")
+    assert code == 0
+    assert out == '{"r": 3, "tree": "((..)(..))"}\n'
+    for argv in (["hs", "(.((..).))"], ["verify", "--max-n", "3"]):
+        assert run(capsys, "--format", "json", *argv) == run(capsys, *argv, "--format", "json")
+
+
 def test_tau_json(capsys):
     code, out, _ = run(capsys, "tau", "--format", "json", "1")
     assert code == 0
@@ -189,6 +197,24 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "hs", "((..)")
     assert code == 2
+
+
+def test_negative_sizes_exit_2(capsys):
+    assert run(capsys, "tau", "-1") == (2, "", "error: R must be >= 0\n")
+    assert run(capsys, "enumerate", "--n", "-1", "--side", "paths") == (
+        2,
+        "",
+        "error: --n must be >= 0\n",
+    )
+
+
+def test_broken_pipe_exits_0(monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", Closed())
+    assert main(["tau", "3"]) == 0
 
 
 def test_decompose_leaf_exits_2(capsys):

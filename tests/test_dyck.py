@@ -63,6 +63,11 @@ def test_from_steps():
         assert str(info.value) == message
 
 
+def test_repr_and_hash():
+    assert repr(DyckPath.from_steps("UD")) == "DyckPath.from_steps('UD')"
+    assert len({DyckPath.from_steps("UD"), DyckPath((0, 1, 0))}) == 1
+
+
 def test_parse_path_both_formats():
     assert parse_path("UUDUDD") == ZIGZAG
     assert parse_path("0,1,2,1,2,1,0") == ZIGZAG
@@ -207,6 +212,36 @@ def test_decompose_bounds_small():
             assert total + len(parts.spine) + 1 == n
 
 
+def naive_decomposition(hs):
+    """decompose_path's parts sliced straight out of the heights at the
+    oracle's landmarks."""
+    lm = brute_landmarks(hs)
+    m = lm["mid"]
+    fix = [x - m - 1 for x in hs[lm["mid_before"] + 1 : lm["mid_after"]]]
+    free = hs[: lm["mid_before"] + 1] + hs[lm["mid_last"] + 1 :]
+    spine = tuple(
+        (e, DyckPath(tuple(e * (x - m) - 1 for x in hs[a + 1 : b])))
+        for e, (a, b) in zip(lm["signs"], zip(lm["returns"], lm["returns"][1:]))
+    )
+    return PathDecomposition(lm["height"], DyckPath(tuple(fix)), DyckPath(free), spine)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        DyckPath.from_steps("".join("U" * k + "D" * k for k in range(1, 41))),
+        random_path(1000, random.Random(3)),
+        DyckPath.from_steps("U" * 300 + "D" * 300),
+    ],
+    ids=["rising-mountains", "random-1000", "mountain-300"],
+)
+def test_decompose_matches_naive_slicing(d):
+    # each of these cuts a free piece held as a prefix and a suffix range
+    parts = decompose_path(d)
+    assert parts == naive_decomposition(d.heights)
+    assert compose_path(parts.height, parts) == d
+
+
 def test_compose_examples():
     parts = PathDecomposition(2, EMPTY_PATH, DyckPath((0, 1, 0)), ((1, EMPTY_PATH),))
     assert compose_path(2, parts) == ZIGZAG
@@ -235,6 +270,10 @@ def test_compose_rejects_bad_membership():
         compose_path(2, PathDecomposition(2, EMPTY_PATH, hump, ((2, EMPTY_PATH),)))
     with pytest.raises(ValueError, match="membership"):
         compose_path(2, PathDecomposition(2, EMPTY_PATH, hump, ((1, hump),)))
+    parts = decompose_path(DyckPath.from_steps("UUUDDD"))
+    with pytest.raises(ValueError) as exc:
+        compose_path(3, dataclasses.replace(parts, free=EMPTY_PATH))
+    assert str(exc.value) == "membership violation: free piece has height 0, need 1 .. 2"
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from strahler import (
     tree_to_text,
     verify_equidistribution,
 )
+from strahler.cli import main
 
 from oracles import brute_dyck_heights, brute_trees, tuple_tree_text
 
@@ -199,6 +200,38 @@ def test_verify_reports_wrong_images(monkeypatch):
     assert "n=1 h=1: 0 distinct images, expected 1" in bad.mismatches
     # only the images are wrong: the histograms still agree
     assert bad.counts_equal and bad.dyadic_ok and bad.totals_ok
+
+
+def test_verify_reports_wrong_counts_and_totals(monkeypatch, capsys):
+    real = enumeration.histogram_by_refined_hs
+
+    def wrong(n):
+        if n == 3:
+            return Histogram(3, {1: 1, 2: 4})
+        hist = real(n)
+        return Histogram(n, {**hist.counts, 4: 2}) if n == 4 else hist
+
+    monkeypatch.setattr(enumeration, "histogram_by_refined_hs", wrong)
+    report = verify_equidistribution(4)
+    expected = {
+        3: [
+            "n=3 h=2: paths 3 != trees 4",
+            "n=3 h=3: paths 1 != trees 0",
+            "n=3: dyadic grouping disagrees",
+        ],
+        4: [
+            "n=4 h=4: paths 1 != trees 2",
+            "n=4: dyadic grouping disagrees",
+            "n=4: totals differ from catalan(n)=14",
+        ],
+    }
+    assert [row.mismatches for row in report.rows] == [[], [], [], expected[3], expected[4]]
+    assert [row.totals_ok for row in report.rows] == [True, True, True, True, False]
+    assert main(["verify", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    printed = [line for line in out if line.startswith("    mismatch: ")]
+    assert printed == [f"    mismatch: {m}" for m in expected[3] + expected[4]]
+    assert out[-1] == "MISMATCH FOUND"
 
 
 def test_verify_walks_each_family_once_per_n(monkeypatch):

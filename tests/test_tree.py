@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from strahler import (
@@ -60,6 +62,8 @@ MALFORMED = {
     "x": "bad character 'x' at index 0",
     "((..)..)": "more than two subtrees before index 6",
     "(..)(": "trailing content at index 4",
+    "(..))": "unmatched ')' at index 4",
+    ".)": "unmatched ')' at index 1",
 }
 
 
@@ -73,6 +77,10 @@ def test_parse_rejects_malformed(capsys, bad):
     assert main(["t2d", bad]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_repr_is_a_parse_tree_call():
+    assert repr(parse_tree("(.(..))")) == "parse_tree('(.(..))')"
 
 
 def test_structural_equality():
@@ -337,6 +345,12 @@ def test_compose_rejects_bad_membership():
     bad_spine = SpinalDecomposition(hs=1, fix=LEAF, free=LEAF, spine=((2, LEAF),))
     with pytest.raises(ValueError, match="membership"):
         compose_tree(1, bad_spine)
+    parts = decompose_tree(parse_tree("((..)(..))"))  # the image of UUUDDD
+    with pytest.raises(ValueError) as exc:
+        compose_tree(3, dataclasses.replace(parts, free=LEAF))
+    assert str(exc.value) == (
+        "membership violation: free part has refined number 0, need 1 .. 2"
+    )
 
 
 @pytest.mark.parametrize(
