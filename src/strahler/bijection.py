@@ -35,10 +35,20 @@ paths of half-length around 10**6 convert at the default recursion limit.
 The CLI's ``d2t`` and ``t2d`` never build a ``Tree``.  ``_image_text`` cuts
 a path as ``path_to_tree`` does and writes the image's text instead, and
 ``_preimage_steps`` walks the ``kid`` array that ``tree._scan`` reads from
-text with the same ``_path``.
+text with the same ``_path``.  The image of a piece depends only on its own
+heights, so ``_image_text`` keeps one dict per call that maps a fix or spine
+piece's own U/D steps, as bytes, to its text, and writes the text of a
+repeated piece once: mountains, rising and falling mountains and the paths
+of perfect trees and of ``tau(r)`` repeat their pieces many times over.  On a
+uniform path they almost never repeat, so a piece is keyed only once an
+earlier piece of its size has been seen (see ``_tree_text``).
+``path_to_tree`` keeps no memo: ``Tree`` slots are assignable, so images
+must not share nodes.
 """
 
 from __future__ import annotations
+
+from operator import gt, lt
 
 from .dyck import DyckPath, _cut, _join, _steps
 from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk, _values
@@ -108,16 +118,27 @@ def _small_text(hs, start, size):
 
 def _image_text(hs) -> str:
     """The text of the image of the path with heights hs, built as text."""
-    return _small_text(hs, 0, len(hs)) or _tree_text((hs, 0, len(hs), 0, 1))
+    return _small_text(hs, 0, len(hs)) or _tree_text((hs, 0, len(hs), 0, 1), {})
 
 
-def _tree_text(piece):
+def _tree_text(piece, memo):
     """The text of ``_tree(piece)``, from the same cuts.
 
     Each level of the free chain wraps the free piece's text in text before
     and after it, so both are collected, level by level, and joined once:
     joining per level would copy the inner text once per level, about
     n**1.5 characters on rising mountains.
+
+    ``memo`` is the one dict of an ``_image_text`` call.  A piece's image
+    depends only on its own heights, that is on its own U/D steps, never on
+    where it sits or on the rest of the path.  So a fix or spine piece with
+    the same steps as an earlier one takes that piece's text, keyed by the
+    steps as bytes (``lt`` compares real heights when ``sign`` is +1, ``gt``
+    when it is -1), and is not cut again: a mountain of half-length 10**5
+    takes 160 cuts, and 34 464 without the memo.  On a uniform path big
+    pieces almost never repeat, so the key is paid only once two pieces of
+    one size have been seen: ``memo[size]`` holds the first such piece and
+    its text, then ``True`` once that piece has been keyed.
     """
     levels = []
     while len(piece) != 5 or piece[2] - piece[1] > 5:
@@ -132,7 +153,25 @@ def _tree_text(piece):
         for j, p in enumerate(parts):
             if j != 1:
                 size = p[2] - p[1]
-                parts[j] = "." if size == 1 else _small_text(p[0], p[1], size) or _tree_text(p)
+                text = "." if size == 1 else _small_text(p[0], p[1], size)
+                if text is None:
+                    first = memo.get(size)
+                    if first is None:  # the first piece of its size goes unkeyed
+                        text = _tree_text(p, memo)
+                        memo[size] = p, text
+                    else:
+                        if first is not True:  # a second one: key the first
+                            (fs, fa, fb, _, fsign), ftext = first
+                            s = fs[fa:fb]
+                            memo[bytes(map(lt if fsign == 1 else gt, s, s[1:]))] = ftext
+                            memo[size] = True
+                        hs, a, b, _, sign = p
+                        s = hs[a:b]
+                        key = bytes(map(lt if sign == 1 else gt, s, s[1:]))
+                        text = memo.get(key)
+                        if text is None:
+                            text = memo[key] = _tree_text(p, memo)
+                parts[j] = text
         # the level's tree as _assemble_tree builds it, from the spine vertex up
         if h % 2 == 0:
             head.append("(")

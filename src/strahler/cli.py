@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-tau R                 print the R-th interpolating tree
+tau R                 print the R-th interpolating tree (0 <= R <= 10**7)
 hs TREE               print the refined and classical Horton-Strahler numbers
 d2t PATH              convert a Dyck path to its tree
 t2d TREE              convert a tree to its Dyck path
@@ -32,7 +32,7 @@ import sys
 from .bijection import _image_text, _preimage_steps
 from .dyck import decompose_path, parse_path
 from .enumeration import all_dyck_paths, all_full_binary_trees, verify_equidistribution
-from .tree import _scan, _values, decompose_tree, parse_tree, tau, tree_to_text
+from .tree import _scan, _tau_text, _values, decompose_tree, parse_tree, tree_to_text
 
 
 def _value(arg: str) -> str:
@@ -47,10 +47,17 @@ def _emit(fmt: str, text_lines, json_obj) -> None:
             print(line)
 
 
+# tau(R)'s text has 3R + 1 characters; this cap matches the largest
+# conversions the CLI is meant for, n = 10**7, at 30 MB of output
+_TAU_MAX_R = 10**7
+
+
 def _cmd_tau(args) -> int:
     if args.r < 0:
         raise ValueError("R must be >= 0")
-    text = tree_to_text(tau(args.r))
+    if args.r > _TAU_MAX_R:
+        raise ValueError(f"R must be <= {_TAU_MAX_R}")
+    text = _tau_text(args.r)
     _emit(args.format, [text], {"r": args.r, "tree": text})
     return 0
 

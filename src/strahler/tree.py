@@ -310,6 +310,25 @@ def tau(r: int) -> Tree:
     return Tree(left, left if odd else tau(m - 1))
 
 
+def _tau_text(r: int) -> str:
+    """The text of ``tau(r)``, built as text, for r >= 0.
+
+    The subtrees at one depth of tau(r) are tau(x) for at most two values of
+    x, so a dict per call writes each distinct subtree's text once: the work
+    is a few joins per depth, about log2(r) of them, instead of a Python step
+    per node.
+    """
+    memo = {0: "."}
+
+    def text(x):
+        got = memo.get(x)
+        if got is None:
+            got = memo[x] = "(" + text(x // 2) + text((x - 1) // 2) + ")"
+        return got
+
+    return text(r)
+
+
 def complete_binary(s: int) -> Tree:
     """The perfect binary tree of height s; equals tau(2**s - 1)."""
     if s < 0:

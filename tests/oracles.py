@@ -56,6 +56,29 @@ def brute_landmarks(heights):
     }
 
 
+def brute_image(heights):
+    """The tree image of a path under the paper's bijection, as a nested
+    tuple (see ``brute_trees``), by naive slicing and recursion on every
+    piece, straight from the ``strahler.dyck`` and ``strahler.bijection``
+    module docstrings and ``brute_landmarks``."""
+    if max(heights) == 0:
+        return None
+    marks = brute_landmarks(heights)
+    h, m = marks["height"], marks["mid"]
+    fix = tuple(x - m - 1 for x in heights[marks["mid_before"] + 1 : marks["mid_after"]])
+    free = heights[: marks["mid_before"] + 1] + heights[marks["mid_last"] + 1 :]
+    returns = marks["returns"]
+    spine = [
+        (sign, tuple(sign * (x - m) - 1 for x in heights[a + 1 : b]))
+        for sign, a, b in zip(marks["signs"], returns, returns[1:])
+    ]
+    below = (free, fix) if h % 2 == 0 else (fix, free)
+    node = (brute_image(below[0]), brute_image(below[1]))
+    for sign, piece in reversed(spine):  # from the spine vertex up to the root
+        node = (brute_image(piece), node) if sign == 1 else (node, brute_image(piece))
+    return node
+
+
 def brute_trees(n):
     """All full binary trees with n internal vertices as nested tuples;
     a leaf is None and a node is (left, right)."""

@@ -26,6 +26,7 @@ from strahler import (
     tree_to_path,
     tree_to_text,
 )
+from strahler import bijection
 from strahler.bijection import _image_text, _preimage_steps
 from strahler.enumeration import (
     all_dyck_paths,
@@ -34,6 +35,8 @@ from strahler.enumeration import (
     histogram_by_height,
 )
 from strahler.tree import _scan
+
+from oracles import brute_dyck_heights, brute_image, brute_trees, tuple_tree_text
 
 
 def dyck_paths(max_n=60):
@@ -120,6 +123,82 @@ def test_bijectivity_per_cell():
         hist = histogram_by_height(n)
         assert {h: len(s) for h, s in images.items()} == hist.counts
         assert sum(len(s) for s in images.values()) == catalan(n)
+
+
+def test_image_matches_oracle_exhaustive():
+    # every path with n <= 9 against the definition, on both ends
+    count = 0
+    for n in range(10):
+        for hs in brute_dyck_heights(n):
+            want = tuple_tree_text(brute_image(hs))
+            assert _image_text(hs) == want
+            assert tree_to_text(path_to_tree(DyckPath(hs))) == want
+            count += 1
+    assert count == 6918
+
+
+def _tree_of(t):
+    return LEAF if t is None else Tree(_tree_of(t[0]), _tree_of(t[1]))
+
+
+def test_round_trip_trees_exhaustive():
+    # the library's other direction on every tree with n <= 9
+    for n in range(10):
+        for t in map(_tree_of, brute_trees(n)):
+            assert path_to_tree(tree_to_path(t)) == t
+
+
+def _mountain(n):
+    return DyckPath(tuple(range(n + 1)) + tuple(range(n - 1, -1, -1)))
+
+
+def test_image_matches_oracle_on_repeated_pieces():
+    # paths whose fix and spine pieces come back many times over
+    for d in (
+        _mountain(300),
+        _mountains(range(1, 41)),
+        _mountains(range(40, 0, -1)),
+        tree_to_path(complete_binary(8)),
+        tree_to_path(tau(200)),
+    ):
+        want = tuple_tree_text(brute_image(d.heights))
+        assert _image_text(d.heights) == want
+        assert tree_to_text(path_to_tree(d)) == want
+
+
+def _cuts(monkeypatch, hs):
+    count = 0
+    cut = bijection._cut
+
+    def counting(piece):
+        nonlocal count
+        count += 1
+        return cut(piece)
+
+    monkeypatch.setattr(bijection, "_cut", counting)
+    text = _image_text(hs)
+    monkeypatch.setattr(bijection, "_cut", cut)
+    return count, text
+
+
+def test_image_text_cuts_each_repeated_piece_once(monkeypatch):
+    # a piece's text depends only on its own steps, so a repeated piece is
+    # not cut again; without that, the perfect tree's path takes 2 047 cuts
+    for d in (_mountain(2**12), tree_to_path(complete_binary(12))):
+        first, text = _cuts(monkeypatch, d.heights)
+        assert first < 200
+        # the memo lives for one call: a second call cuts as much again
+        assert _cuts(monkeypatch, d.heights) == (first, text)
+        assert text == tree_to_text(path_to_tree(d))
+
+
+def test_image_text_keys_pieces_by_their_own_steps(monkeypatch):
+    # a -1 spine piece runs reflected in real heights; keyed by its own
+    # steps it shares the text of an equal fix or +1 piece: 256 cuts here,
+    # against 408 with keys read off real steps and 1 917 with no memo
+    cuts, text = _cuts(monkeypatch, _mountains(range(1, 101)).heights)
+    assert cuts < 300
+    assert text == tree_to_text(path_to_tree(_mountains(range(1, 101))))
 
 
 # --- randomized properties -----------------------------------------------------

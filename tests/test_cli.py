@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from strahler import enumeration
+from strahler import cli, enumeration
 from strahler.cli import main
 from strahler.enumeration import all_dyck_paths, all_full_binary_trees, catalan
-from strahler.tree import LEAF, tree_to_text
+from strahler.tree import LEAF, tau, tree_to_text
 
 
 def run(capsys, *argv):
@@ -36,6 +36,23 @@ def test_tau_json(capsys):
     code, out, _ = run(capsys, "tau", "--format", "json", "1")
     assert code == 0
     assert json.loads(out) == {"r": 1, "tree": "(..)"}
+
+
+def test_tau_text_matches_the_tree(capsys):
+    rs = list(range(201)) + [2**s - 1 for s in range(8, 17)]
+    for r in rs:
+        assert run(capsys, "tau", str(r)) == (0, tree_to_text(tau(r)) + "\n", "")
+
+
+def test_tau_refuses_r_above_the_cap(capsys, monkeypatch):
+    def build(r):
+        raise AssertionError(f"tau {r} was built")
+
+    monkeypatch.setattr(cli, "_tau_text", build)
+    cap = cli._TAU_MAX_R
+    assert run(capsys, "tau", str(cap + 1)) == (2, "", f"error: R must be <= {cap}\n")
+    monkeypatch.setattr(cli, "_tau_text", lambda r: f"tau {r}")
+    assert run(capsys, "tau", str(cap)) == (0, f"tau {cap}\n", "")
 
 
 def test_hs(capsys):
