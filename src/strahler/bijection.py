@@ -42,8 +42,8 @@ repeated piece once: mountains, rising and falling mountains and the paths
 of perfect trees and of ``tau(r)`` repeat their pieces many times over.  On a
 uniform path they almost never repeat, so a piece is keyed only once an
 earlier piece of its size has been seen (see ``_tree_text``).
-``path_to_tree`` keeps no memo: ``Tree`` slots are assignable, so images
-must not share nodes.
+``path_to_tree``'s images share their small subtrees, since every ``Tree``
+refuses assignment; ``_tree`` keeps no memo until one is measured.
 """
 
 from __future__ import annotations
@@ -54,21 +54,21 @@ from .dyck import DyckPath, _cut, _join, _steps
 from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk, _values
 
 
+# the images of the pieces with one or two internal nodes, shared by every image
+_TREE_UD = Tree(LEAF, LEAF)
+_TREE_UDUD = Tree(LEAF, _TREE_UD)
+_TREE_UUDD = Tree(_TREE_UD, LEAF)
+
+
 def _small_tree(hs, start, size):
     """The image of the piece of ``size`` heights from ``hs[start]`` on,
-    when it has at most two internal nodes, else None.
-
-    Built fresh on every call: Tree slots are assignable, so shared internal
-    nodes would let one caller's mutation leak into later images.
-    """
+    when it has at most two internal nodes, else None."""
     if size == 1:
         return LEAF
     if size == 3:
-        return Tree(LEAF, LEAF)
+        return _TREE_UD
     if size == 5:
-        if hs[start + 2] == hs[start]:  # UDUD
-            return Tree(LEAF, Tree(LEAF, LEAF))
-        return Tree(Tree(LEAF, LEAF), LEAF)  # UUDD
+        return _TREE_UDUD if hs[start + 2] == hs[start] else _TREE_UUDD
     return None
 
 

@@ -26,6 +26,7 @@ found a mismatch, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,6 +169,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache  # built on the first call, then reused by every main call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

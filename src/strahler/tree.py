@@ -4,7 +4,8 @@ Conventions
 -----------
 A tree is either a leaf, ``Tree()``, or an internal node ``Tree(left, right)``
 with exactly two subtrees; no other shapes exist.  A tree with n internal
-nodes has n + 1 leaves, hence 2n + 1 vertices.
+nodes has n + 1 leaves, hence 2n + 1 vertices.  Every ``Tree`` refuses
+assignment, so trees share subtrees freely.
 
 Positions in a tree are addressed by vertices: tuples over {1, 2}, read from
 the root.  ``()`` is the root, 1 means "left child", 2 means "right child".
@@ -34,15 +35,25 @@ from dataclasses import dataclass
 
 
 class Tree:
-    """A leaf (no arguments) or an internal node with two subtrees."""
+    """A leaf (no arguments) or an internal node with two subtrees.  Every
+    ``Tree`` refuses assignment (``AttributeError``), so trees share subtrees."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, left=None, right=None):
         if (left is None) != (right is None):
             raise ValueError("a node has either two subtrees or none")
-        self.left = left
-        self.right = right
+        _store_left(self, left)
+        _store_right(self, right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tree is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Tree is immutable")
+
+    def __reduce__(self):  # pickle and copy hand back the module's own LEAF
+        return "LEAF" if self is LEAF else (Tree, (self.left, self.right))
 
     @property
     def is_leaf(self) -> bool:
@@ -68,27 +79,11 @@ class Tree:
         return f"parse_tree({tree_to_text(self)!r})"
 
 
-class _Leaf(Tree):
-    """The type of ``LEAF``: a leaf that refuses assignment, so the one shared
-    instance cannot be turned into an internal node under other callers."""
+_store_left, _store_right = Tree.left.__set__, Tree.right.__set__  # past __setattr__
 
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LEAF is shared and cannot be modified")
-
-    def __delattr__(self, name):
-        raise AttributeError("LEAF is shared and cannot be modified")
-
-    def __reduce__(self):
-        return "LEAF"  # pickle and copy hand back the module's own LEAF
-
-
-#: The unique tree with no internal node, shared by every tree.  It refuses
-#: assignment; internal nodes are immutable by convention.
-LEAF = object.__new__(_Leaf)
-Tree.left.__set__(LEAF, None)
-Tree.right.__set__(LEAF, None)
+#: The unique tree with no internal node, shared by every tree.  Like every
+#: ``Tree``, it refuses assignment.
+LEAF = Tree()
 
 _CLOSE = object()  # sentinel for the iterative serializer
 

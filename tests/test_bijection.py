@@ -26,7 +26,7 @@ from strahler import (
     tree_to_path,
     tree_to_text,
 )
-from strahler import bijection
+from strahler import bijection, tree
 from strahler.bijection import _image_text, _preimage_steps
 from strahler.enumeration import (
     all_dyck_paths,
@@ -63,6 +63,43 @@ def test_shared_singletons_refuse_mutation():
     # later callers still see the leaf and the empty path
     assert tree_to_text(path_to_tree(parse_path("UDUD"))) == "(.(..))"
     assert parse_path("").heights == (0,)
+
+
+def test_every_node_refuses_assignment():
+    image = path_to_tree(random_path(50, random.Random(2)))
+    for node in (tau(3).left, complete_binary(2), complete_binary(2).left, image, image.right):
+        assert not node.is_leaf
+        for name in ("left", "right"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, LEAF)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert type(LEAF) is Tree and not hasattr(tree, "_Leaf")
+    assert tree_to_text(tau(3)) == "((..)(..))"
+
+
+def test_images_share_small_subtrees():
+    assert path_to_tree(parse_path("UD")) is path_to_tree(parse_path("UD"))
+    assert path_to_tree(parse_path("UDUD")) is path_to_tree(parse_path("UDUD"))
+    assert path_to_tree(parse_path("UUDD")) is path_to_tree(parse_path("UUDD"))
+    internal = set()
+    stack = [path_to_tree(random_path(1000, random.Random(3)))]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf and id(node) not in internal:
+            internal.add(id(node))
+            stack += node.left, node.right
+    assert len(internal) < 1000
+
+
+def test_pickle_keeps_other_leaves_and_deep_combs():
+    leaf = Tree()
+    assert leaf is not LEAF and pickle.loads(pickle.dumps(leaf)) == LEAF
+    assert copy.deepcopy(Tree(leaf, LEAF)) == tau(1)
+    comb = LEAF
+    for _ in range(400):
+        comb = Tree(comb, LEAF)
+    assert pickle.loads(pickle.dumps(comb)) == comb
 
 
 def test_pickle_and_deepcopy_round_trip():

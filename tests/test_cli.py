@@ -32,6 +32,10 @@ def test_format_before_the_subcommand(capsys):
         assert run(capsys, "--format", "json", *argv) == run(capsys, *argv, "--format", "json")
 
 
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_tau_json(capsys):
     code, out, _ = run(capsys, "tau", "--format", "json", "1")
     assert code == 0

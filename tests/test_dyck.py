@@ -66,6 +66,14 @@ def test_from_steps():
 def test_repr_and_hash():
     assert repr(DyckPath.from_steps("UD")) == "DyckPath.from_steps('UD')"
     assert len({DyckPath.from_steps("UD"), DyckPath((0, 1, 0))}) == 1
+    assert (DyckPath((0, 1, 0)) == "x") is False
+
+
+def test_path_refuses_deletion():
+    d = DyckPath((0, 1, 0))
+    with pytest.raises(AttributeError, match="DyckPath is immutable"):
+        del d.heights
+    assert d.heights == (0, 1, 0)
 
 
 def test_parse_path_both_formats():
@@ -180,6 +188,7 @@ def test_decompose_zigzag():
     assert parts.fix == EMPTY_PATH
     assert parts.free == DyckPath((0, 1, 0))
     assert parts.spine == ((1, EMPTY_PATH),)
+    assert parts.spine_length == len(parts.spine) == 1
 
 
 def test_decompose_single_hump():

@@ -16,6 +16,7 @@ from strahler import (
     histogram_by_classical_hs,
     histogram_by_height,
     histogram_by_refined_hs,
+    parse_tree,
     refined_hs_oracle,
     tree_to_text,
     verify_equidistribution,
@@ -200,6 +201,14 @@ def test_verify_reports_wrong_images(monkeypatch):
     assert "n=1 h=1: 0 distinct images, expected 1" in bad.mismatches
     # only the images are wrong: the histograms still agree
     assert bad.counts_equal and bad.dyadic_ok and bad.totals_ok
+
+
+def test_verify_reports_wrong_sized_images(monkeypatch):
+    monkeypatch.setattr(enumeration, "path_to_tree", lambda d: parse_tree("(.(..))"))
+    assert verify_equidistribution(1).rows[1].mismatches == [
+        "n=1 h=1: image has wrong size",
+        "n=1 h=1: 0 distinct images, expected 1",
+    ]
 
 
 def test_verify_reports_wrong_counts_and_totals(monkeypatch, capsys):

@@ -40,6 +40,8 @@ def test_node_shape_enforced():
         Tree(LEAF, None)
     with pytest.raises(ValueError):
         Tree(None, LEAF)
+    assert LEAF.is_leaf
+    assert not parse_tree("(..)").is_leaf
 
 
 def test_parse_round_trip():
@@ -85,6 +87,7 @@ def test_repr_is_a_parse_tree_call():
 
 def test_structural_equality():
     assert parse_tree("(..)") == Tree(LEAF, LEAF)
+    assert (Tree(LEAF, LEAF) == 1) is False
     assert parse_tree("((..).)") != parse_tree("(.(..))")
     assert parse_tree(EXAMPLE) == parse_tree(EXAMPLE)
 
@@ -126,6 +129,8 @@ def test_from_vertices_validation():
         tree_from_vertices([(), (1, 1), (1, 2)])  # not prefix-closed
     with pytest.raises(ValueError):
         tree_from_vertices([(), (1,), (3,)])  # bad letter
+    with pytest.raises(ValueError, match=r"vertex \(3,\) has letters outside \{1, 2\}"):
+        tree_from_vertices([(), (3,)])
 
 
 def test_meet_and_ancestors():
@@ -291,6 +296,7 @@ def test_decompose_examples():
     assert dec.fix == LEAF
     assert dec.free == tau(1)
     assert dec.spine == ((1, LEAF),)
+    assert dec.spine_length == len(dec.spine) == 1
 
     dec = decompose_tree(tau(1))
     assert (dec.hs, dec.fix, dec.free, dec.spine) == (1, LEAF, LEAF, ())
