@@ -3,10 +3,9 @@
 ``path_to_tree`` sends the empty path to a leaf.  Any other path is cut into
 fix, free and spine pieces (see ``dyck.decompose_path``), each piece is
 converted in turn, and the resulting trees are reassembled exactly as
-``tree.compose_tree`` prescribes: the spine signs become child slots
-(+1 -> slot 1, -1 -> slot 2 for the hung subtree), and below the spine the
-free tree takes the left child when the height is even and the right child
-when it is odd.  The construction preserves both the size parameter n and
+``tree.compose_tree`` prescribes: a +1 spine piece's tree hangs on the
+left and a -1 piece's on the right, and below the spine the free tree takes
+the left child when the height is even and the right child when it is odd.  The construction preserves both the size parameter n and
 the statistic: the image of a path of height h has refined number h.
 ``tree_to_path`` inverts this, piece by piece.
 
@@ -24,8 +23,9 @@ internal nodes are built inline.
 The same single-level helpers (``dyck._cut`` and ``dyck._join``,
 ``tree._spine_walk`` and ``tree._assemble_tree``) back ``landmarks``,
 ``decompose_path``, ``compose_path``, ``decompose_tree`` and
-``compose_tree``, which normalise pieces to their own heights only at that
-API boundary.  Of the pieces of a height-h level, only the free one can be
+``compose_tree``, which normalise pieces to their own heights, and the
+tree side's +1/-1 tags to child slots 1/2, only at that API boundary.  A
+level is ``(h, signs, [fix, free, spine...])`` on both sides.  Of the pieces of a height-h level, only the free one can be
 almost as high as h: the fix piece has height ceil(h / 2) - 1 and every
 spine piece at most that, and likewise for the fix and hung subtrees of a
 tree.  So each direction walks its chain of free pieces in a loop and
@@ -100,7 +100,7 @@ def _tree(piece):
                 size = p[2] - p[1]
                 parts[j] = LEAF if size == 1 else _small_tree(p[0], p[1], size) or _tree(p)
         parts[1] = node
-        # sign +1 hangs its subtree in slot 1 (left), -1 in slot 2
+        # a +1 piece's tree hangs on the left, a -1 piece's on the right
         node = _assemble_tree(h, signs, parts)
     return node
 
@@ -239,22 +239,18 @@ def _path(kid, val, i, base, sign):
     levels = []
     path = None
     while path is None:
-        h, slots, parts = _spine_walk(kid, val, i)
-        levels.append((base + sign * (h // 2), slots, parts))
+        h, signs, parts = _spine_walk(kid, val, i)
+        levels.append((base + sign * (h // 2), signs, parts))
         i = parts[1]
         path = _small_path(kid, val, i, base, sign)
     while levels:
-        level, slots, parts = levels.pop()
+        level, signs, parts = levels.pop()
         for j, k in enumerate(parts):
-            if j == 1:
-                continue
-            # the fix subtree and slot-1 subtrees sit above the split level,
-            # slot-2 subtrees reflected below it
-            if j == 0 or slots[j - 2] == 1:
-                b, s = level + sign, sign
-            else:
-                b, s = level - sign, -sign
-            parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+            if j != 1:
+                # fix and +1 subtrees sit above the split level, -1 ones below it
+                s = sign if j == 0 else sign * signs[j - 2]
+                b = level + s
+                parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
         path = _join(level, parts[0], path, parts[2:])
     return path
 

@@ -14,7 +14,9 @@ split level.  The landmarks are: ``peak``, the first index at height h;
 ``mid_before``, the last visit to level m before the peak; ``mid_after``,
 the first visit to level m after the peak; ``mid_last``, the final visit to
 level m; and ``returns``, every index in [mid_after, mid_last] sitting at
-level m.  ``decompose_path`` cuts the path at these indices:
+level m.  The visits to m from mid_before to mid_last cut the path into
+excursions, the first of which is the fix piece; ``decompose_path`` cuts
+the path at these indices:
 
 * ``fix``  - the stretch strictly between mid_before and mid_after, shifted
   down by m + 1; its height is always ceil(h / 2) - 1.
@@ -116,19 +118,26 @@ def _steps(hs) -> str:
 
 
 def parse_path(text: str) -> DyckPath:
-    """Parse a step string (canonical) or a comma-separated height sequence."""
+    """Parse a step string (canonical) or a comma-separated height sequence.
+
+    Text that starts with U or D is a step string.  An error names the first
+    bad character or height, never the whole text.
+    """
     s = text.strip()
     if not s:
         return EMPTY_PATH
-    if set(s) <= {"U", "D"}:
+    if s[0] in _STEP:
         return DyckPath.from_steps(s)
-    if set(s) <= set("0123456789,- "):
+    i = len(s) - len(s.lstrip("0123456789,- "))  # the first character no height has
+    if i < len(s):
+        raise ValueError(f"bad character {s[i]!r} at index {i}")
+    heights = []
+    for j, part in enumerate(s.split(",")):
         try:
-            heights = [int(part) for part in s.split(",")]
+            heights.append(int(part))
         except ValueError:
-            raise ValueError(f"bad height sequence {text!r}") from None
-        return DyckPath(heights)
-    raise ValueError(f"not a U/D step string or height sequence: {text!r}")
+            raise ValueError(f"bad height sequence: part {j} is not an integer") from None
+    return DyckPath(heights)
 
 
 def height(d: DyckPath) -> int:
@@ -250,8 +259,8 @@ def _cut(piece):
     prefix part, a prefix of the root.  Its last visit to its own split level
     is the end of the prefix part when that level did not drop, and else the
     root's last visit to it.  Every other search runs over what the cut hands
-    to the fix and spine pieces.  A fix piece, or a run of spine pieces, that
-    crosses from the prefix part into the suffix part is copied once.
+    to the fix and spine pieces.  When the excursions cross from the prefix
+    part into the suffix part, their run is copied once.
 
     The height, peak and last visit come from direct scans until the chain
     has scanned as many elements as its root holds.  Then ``tables`` are
@@ -289,35 +298,27 @@ def _cut(piece):
             peak = tables[0][h]
     m = h // 2
     level = base + sign * m
-    up = level + sign
     # last m before the peak; the climb to the peak guarantees one exists
     before = stop - 1 - rev.index(level, stop - peak)
-    try:
-        after = hs.index(level, peak, pe)
-    except ValueError:  # the way down from the peak leaves the prefix part
-        after = hs.index(level, ss)
     if ss < stop and sign * (hs[ss] - base) < m:  # a suffix part stays below level
         last, ss_next = pe - 1, ss
     else:
         last = stop - 1 - (rev.index(level) if tables is None else tables[1][m])
         ss_next = last + 1
-    if after < pe:
-        fix = (hs, before + 1, after, up, sign)
-    else:
-        fix = _joined(hs, before + 1, pe, ss, after, up, sign)
     if before + 1 - start + stop - ss_next < _COPY_BELOW:
-        free = _joined(hs, start, before + 1, ss_next, stop, base, sign)
+        part = hs[start : before + 1] + hs[ss_next:stop]
+        free = part, 0, len(part), base, sign
     else:
         if chain is None:
             chain = [hs, start, stop, base, sign, rev, stop - start, None]
         free = (chain, before + 1, ss_next)
     signs = []
-    pieces = [fix, free]
-    if after < pe <= last:
-        run = hs[after:pe] + hs[ss : last + 1]
-        _spine(run, 0, len(run) - 1, level, sign, signs, pieces)
-    else:
-        _spine(hs, after, last, level, sign, signs, pieces)
+    pieces = [None, free]
+    if last < pe:
+        _excursions(hs, before, peak, last, level, sign, signs, pieces)
+    else:  # the excursions cross from the prefix part into the suffix part
+        run = hs[before:pe] + hs[ss : last + 1]
+        _excursions(run, 0, peak - before, len(run) - 1, level, sign, signs, pieces)
     return h, signs, pieces
 
 
@@ -332,19 +333,17 @@ def _first_visits(seq, start, stop, base, sign, top):
     return out
 
 
-def _joined(hs, i, pe, ss, j, base, sign):
-    """The contiguous piece ``hs[i:pe] + hs[ss:j]``, copied once."""
-    part = hs[i:pe] + hs[ss:j]
-    return part, 0, len(part), base, sign
-
-
-def _spine(hs, i, last, level, sign, signs, pieces):
-    """Append the spine pieces between the visits to ``level`` from index i
-    to index last of ``hs``, and their tags.  A +1 piece sits one level above
-    the split level; a -1 piece is reflected by flipping ``sign`` about one
-    level below it."""
+def _excursions(hs, i, peak, last, level, sign, signs, pieces):
+    """Cut ``hs`` between its visits to ``level`` at index i and index last
+    into excursions.  The first climbs to the peak at index ``peak``, whence
+    its end is searched; it is the fix piece, ``pieces[0]``.  Each later one
+    is a spine piece, appended with its tag: a +1 piece sits one level above
+    the split level, and a -1 piece is reflected about one level below it."""
     up = level + sign
-    while i != last:
+    j = hs.index(level, peak)
+    pieces[0] = (hs, i + 1, j, up, sign)
+    while j != last:
+        i = j
         j = hs.index(level, i + 1)
         if hs[i + 1] == up:
             signs.append(1)
@@ -352,7 +351,6 @@ def _spine(hs, i, last, level, sign, signs, pieces):
         else:
             signs.append(-1)
             pieces.append((hs, i + 1, j, level - sign, -sign))
-        i = j
 
 
 def _own(piece) -> DyckPath:

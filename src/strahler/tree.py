@@ -470,28 +470,29 @@ def spine_vertex(t: Tree) -> tuple:
     if t.left is None:
         return ()
     _, kid, val = _flatten(t)
-    # a hung subtree in slot 1 means the chain turned right, and vice versa
-    return tuple(3 - side for side in _spine_walk(kid, val, 0)[1])
+    # a subtree hung on the left (+1) means the chain turned right (letter 2)
+    return tuple(2 if s == 1 else 1 for s in _spine_walk(kid, val, 0)[1])
 
 
 def _spine_walk(kid: list, val: list, i: int):
     """Decompose the subtree at index i of _flatten's arrays.
 
-    Returns (h, slots, parts): ``parts`` is [fix, free, hung subtrees...] as
-    node indices, from the root down, and ``slots`` holds the child slot of
-    each hung subtree.  Requires the subtree to be internal.
+    Returns (h, signs, parts) as ``dyck._cut`` does: ``parts`` is [fix, free,
+    hung subtrees...] as node indices, from the root down, and ``signs`` tags
+    a subtree hung on the left +1 and one on the right -1.  Requires an
+    internal subtree.
     """
     h = val[i]
-    slots = []
+    signs = []
     parts = [0, 0]
     k = kid[i]
     while True:
         if val[k + 1] == h:
-            slots.append(1)  # spine turns right, sibling hangs left
+            signs.append(1)  # spine turns right, sibling hangs left
             parts.append(k)
             k = kid[k + 1]
         elif val[k] == h:
-            slots.append(2)
+            signs.append(-1)
             parts.append(k + 1)
             k = kid[k]
         else:
@@ -501,7 +502,7 @@ def _spine_walk(kid: list, val: list, i: int):
         parts[0], parts[1] = k + 1, k
     else:
         parts[0], parts[1] = k, k + 1
-    return h, slots, parts
+    return h, signs, parts
 
 
 def decompose_tree(t: Tree) -> SpinalDecomposition:
@@ -516,28 +517,26 @@ def decompose_tree(t: Tree) -> SpinalDecomposition:
     if t.left is None:
         raise ValueError("cannot decompose a single leaf (refined number 0)")
     nodes, kid, val = _flatten(t)
-    h, slots, parts = _spine_walk(kid, val, 0)
+    h, signs, parts = _spine_walk(kid, val, 0)
     return SpinalDecomposition(
         hs=h,
         fix=nodes[parts[0]],
         free=nodes[parts[1]],
-        spine=tuple(zip(slots, [nodes[j] for j in parts[2:]])),
+        spine=tuple((1 if s == 1 else 2, nodes[j]) for s, j in zip(signs, parts[2:])),
     )
 
 
-def _assemble_tree(h: int, sides, parts) -> Tree:
-    """Rebuild a tree from decomposition parts; no validation.
+def _assemble_tree(h: int, signs, parts) -> Tree:
+    """Rebuild a tree from one level in ``_spine_walk``'s format; no validation.
 
-    ``parts`` is [fix, free, hung subtrees...] from the root down, and
-    ``sides`` gives each hung subtree's side: 1 hangs it on the left, any
-    other value (slot 2, or the path sign -1 that path_to_tree passes) on
-    the right.
+    ``parts`` is [fix, free, hung subtrees...] from the root down; ``signs``
+    hangs each hung subtree on the left (+1) or on the right (-1).
     """
     fix, free = parts[0], parts[1]
     node = Tree(free, fix) if h % 2 == 0 else Tree(fix, free)
-    for j in range(len(sides) - 1, -1, -1):
+    for j in range(len(signs) - 1, -1, -1):
         hung = parts[j + 2]
-        node = Tree(hung, node) if sides[j] == 1 else Tree(node, hung)
+        node = Tree(hung, node) if signs[j] == 1 else Tree(node, hung)
     return node
 
 
@@ -577,7 +576,7 @@ def compose_tree(hs: int, parts: SpinalDecomposition) -> Tree:
             "membership violation: free part has refined number "
             f"{got}, need {free_floor} .. {hs - 1}"
         )
-    sides = []
+    signs = []
     subtrees = [parts.fix, parts.free]
     for j, entry in enumerate(spine):
         try:
@@ -597,6 +596,6 @@ def compose_tree(hs: int, parts: SpinalDecomposition) -> Tree:
                 f"membership violation: spine subtree {j} in slot {side} has "
                 f"refined number {got} > {cap}"
             )
-        sides.append(side)
+        signs.append(1 if side == 1 else -1)
         subtrees.append(hung)
-    return _assemble_tree(hs, sides, subtrees)
+    return _assemble_tree(hs, signs, subtrees)

@@ -34,7 +34,8 @@ from strahler.enumeration import (
     catalan,
     histogram_by_height,
 )
-from strahler.tree import _scan
+from strahler.dyck import _cut
+from strahler.tree import _flatten, _scan, _spine_walk
 
 from oracles import brute_dyck_heights, brute_image, brute_trees, tuple_tree_text
 
@@ -197,10 +198,25 @@ def test_image_matches_oracle_on_repeated_pieces():
         _mountains(range(40, 0, -1)),
         tree_to_path(complete_binary(8)),
         tree_to_path(tau(200)),
+        # like the falling mountains, cut where the fix piece crosses from a
+        # free piece's prefix part into its suffix part, spine pieces after it
+        random_path(300, random.Random(5)),
     ):
         want = tuple_tree_text(brute_image(d.heights))
         assert _image_text(d.heights) == want
         assert tree_to_text(path_to_tree(d)) == want
+
+
+def test_both_conversions_share_one_level_format():
+    # a path's top level and its image's spine walk give the same height and
+    # the same signs: a +1 piece's tree hangs on the left, a -1 piece's on
+    # the right
+    for n in range(1, 9):
+        for d in all_dyck_paths(n):
+            hs = d.heights
+            h, signs, _ = _cut((hs, 0, len(hs), 0, 1))
+            _, kid, val = _flatten(path_to_tree(d))
+            assert _spine_walk(kid, val, 0)[:2] == (h, signs), d
 
 
 def _cuts(monkeypatch, hs):

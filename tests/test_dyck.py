@@ -87,6 +87,25 @@ def test_parse_path_both_formats():
         parse_path("0,1,,0")
 
 
+def test_parse_path_errors_name_the_first_bad_character():
+    for text, message in (
+        ("UUxD", "bad step character 'x' at index 2"),
+        ("0,1_0,0", "bad character '_' at index 3"),
+        ("0,1,,0", "bad height sequence: part 2 is not an integer"),
+        ("x", "bad character 'x' at index 0"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_path(text)
+        assert str(err.value) == message
+
+
+def test_parse_path_errors_never_echo_the_text():
+    for text in ("U" * 10**6 + "x", "0," * 500_000 + "x", "0," * 500_000 + ","):
+        with pytest.raises(ValueError) as err:
+            parse_path(text)
+        assert len(str(err.value)) < 100
+
+
 def test_steps_round_trip():
     for n in range(6):
         for d in all_dyck_paths(n):

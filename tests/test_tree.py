@@ -127,8 +127,8 @@ def test_from_vertices_validation():
         tree_from_vertices([(), (1,)])  # not full
     with pytest.raises(ValueError):
         tree_from_vertices([(), (1, 1), (1, 2)])  # not prefix-closed
-    with pytest.raises(ValueError):
-        tree_from_vertices([(), (1,), (3,)])  # bad letter
+    with pytest.raises(ValueError, match=r"vertex \(1,\) has exactly one child: tree not full"):
+        tree_from_vertices([(), (1,), (2,), (1, 1)])  # not full below the root
     with pytest.raises(ValueError, match=r"vertex \(3,\) has letters outside \{1, 2\}"):
         tree_from_vertices([(), (3,)])
 
