@@ -41,14 +41,23 @@ piece's own U/D steps, as bytes, to its text, and writes the text of a
 repeated piece once: mountains, rising and falling mountains and the paths
 of perfect trees and of ``tau(r)`` repeat their pieces many times over.  On a
 uniform path they almost never repeat, so a piece is keyed only once an
-earlier piece of its size has been seen (see ``_tree_text``).
+earlier piece of its size has been seen (see ``_tree_text``).  Likewise a
+subtree's preimage depends only on its shape, so ``_preimage_steps`` keeps
+one dict per call that maps a subtree's shape to the heights of a copy
+that was walked, and places each later copy from them with one ``map``.  In
+``_scan``'s preorder layout a subtree owns a contiguous run of ``kid`` slots,
+whose internal/leaf pattern is the key; only subtrees of refined number
+``_MEMO_FROM`` or more are keyed, since small ones are cheaper to walk than
+to key.  ``tree_to_path`` reads ``_flatten``'s breadth-first layout, where a
+subtree's slots are not contiguous, and keeps no memo.
 ``path_to_tree``'s images share their small subtrees, since every ``Tree``
 refuses assignment; ``_tree`` keeps no memo until one is measured.
 """
 
 from __future__ import annotations
 
-from operator import gt, lt
+from itertools import chain, repeat
+from operator import add, gt, lt, sub
 
 from .dyck import DyckPath, _cut, _join, _steps
 from .tree import LEAF, Tree, _assemble_tree, _flatten, _spine_walk, _values
@@ -221,12 +230,31 @@ def tree_to_path(t: Tree) -> DyckPath:
 
 def _preimage_steps(kid) -> str:
     """The U/D steps of the preimage of the tree with ``tree._scan`` array
-    kid."""
+    kid.
+
+    A subtree's preimage depends only on its shape, so one dict per call
+    lets each repeated subtree be walked once (see ``_path``).  In
+    ``_scan``'s layout the internal node of preorder rank q has its children
+    at slots 2q + 1 and 2q + 2, and a subtree's internal nodes have
+    consecutive ranks.  So the subtree at slot k whose ranks end just before
+    e owns exactly the slots ``kid[k]`` to 2e, and the key
+    ``bytes(map(bool, kid[kid[k]:2 * e + 1]))`` spells its shape.  The
+    root's subtree ends at rank ``len(kid) // 2``.
+    """
     val = _values(kid)
-    return _steps(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1))
+    return _steps(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1, {}, len(kid) // 2))
 
 
-def _path(kid, val, i, base, sign):
+# the least refined number of a subtree that t2d looks up in its memo; a
+# subtree of refined number v has at least v internal nodes.  Big subtrees
+# of a uniform random tree almost never repeat: on the images of two such
+# paths of half-length 10**5, keying every subtree of refined number 3 or
+# more made t2d 1.24x slower (median of 10 runs, CPython 3.11, 2 cores),
+# while 16, 64 and 256 were within 1% of each other
+_MEMO_FROM = 64
+
+
+def _path(kid, val, i, base, sign, memo=None, e=0):
     """The final heights for the subtree at index i, placed at (base, sign),
     when ``_small_path`` gives None.
 
@@ -235,24 +263,87 @@ def _path(kid, val, i, base, sign):
     subtrees are converted and joined to it.  Only those subtrees recurse,
     and their refined number is at most ceil(h / 2) - 1, so the recursion is
     about log2(h) deep.
+
+    ``memo`` is the one dict of a ``_preimage_steps`` call; ``kid`` is then
+    in ``_scan``'s layout and the subtree at i ends just before rank e.  A
+    fix or hung subtree of refined number ``_MEMO_FROM`` or more is keyed by
+    its shape, and a repeated one is placed with one ``map`` over the
+    heights of the copy that was walked.  As in ``_tree_text``, the key is
+    paid only once two subtrees of one size have been seen: ``memo[size]``
+    is ``True`` once the first was walked, unkeyed, and ``memo[shape]``
+    holds the (base, sign, heights) of the next copy walked.
     """
     levels = []
     path = None
     while path is None:
         h, signs, parts = _spine_walk(kid, val, i)
-        levels.append((base + sign * (h // 2), signs, parts))
+        levels.append((base + sign * (h // 2), signs, parts, e))
         i = parts[1]
         path = _small_path(kid, val, i, base, sign)
+        if path is None and memo is not None:
+            e = _end(kid, parts, 1, e)
     while levels:
-        level, signs, parts = levels.pop()
-        for j, k in enumerate(parts):
-            if j != 1:
-                # fix and +1 subtrees sit above the split level, -1 ones below it
+        level, signs, parts, e = levels.pop()
+        # tree_to_path keeps its own loop: sharing the memo's part order and
+        # gate made it 5-8% slower on random trees at n = 1000
+        if memo is None:
+            for j, k in enumerate(parts):
+                if j != 1:
+                    # fix and +1 subtrees sit above the split level, -1 ones below it
+                    s = sign if j == 0 else sign * signs[j - 2]
+                    b = level + s
+                    parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+        else:
+            # the fix subtree first, then the hung ones bottom-up: _end reads
+            # the hung subtrees above the one it places, so none is overwritten
+            for j in chain((0,), range(len(parts) - 1, 1, -1)):
+                k = parts[j]
                 s = sign if j == 0 else sign * signs[j - 2]
                 b = level + s
-                parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+                if val[k] < _MEMO_FROM:
+                    parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+                    continue
+                end = _end(kid, parts, j, e)
+                start = kid[k]
+                size = 2 * end + 1 - start
+                if size not in memo:  # the first subtree of its size goes unkeyed
+                    memo[size] = True
+                    parts[j] = _path(kid, val, k, b, s, memo, end)
+                    continue
+                key = bytes(map(bool, kid[start : 2 * end + 1]))
+                got = memo.get(key)
+                if got is None:
+                    parts[j] = got = _path(kid, val, k, b, s, memo, end)
+                    memo[key] = b, s, got
+                    continue
+                fb, fs, got = got
+                if s == fs:
+                    parts[j] = map(add, got, repeat(b - fb))
+                else:
+                    parts[j] = map(sub, repeat(b + fb), got)
         path = _join(level, parts[0], path, parts[2:])
     return path
+
+
+def _end(kid, parts, j, e):
+    """The rank just past the subtree at ``parts[j]`` of a level from
+    ``tree._spine_walk`` on a ``_scan`` array, whose root's subtree ends
+    just before rank e.
+
+    Left children sit at odd slots.  A left child whose right sibling is
+    internal ends where that sibling starts; any other subtree ends where
+    its parent ends.  Up the spine that is where the nearest internal -1
+    hung subtree above starts, else e.  ``parts`` must still hold the
+    indices of the hung subtrees above ``parts[j]``.
+    """
+    k = parts[j]
+    if k & 1 and kid[k + 1]:
+        return kid[k + 1] // 2
+    for j in range(j - 1 if j > 1 else len(parts) - 1, 1, -1):
+        k = parts[j]
+        if not k & 1 and kid[k]:  # a -1 hung subtree is a right child
+            return kid[k] // 2
+    return e
 
 
 def golden_witness() -> tuple[DyckPath, Tree]:

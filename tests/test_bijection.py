@@ -254,6 +254,77 @@ def test_image_text_keys_pieces_by_their_own_steps(monkeypatch):
     assert text == tree_to_text(path_to_tree(_mountains(range(1, 101))))
 
 
+def _walks(monkeypatch, text):
+    count = 0
+    walk = bijection._spine_walk
+
+    def counting(kid, val, i):
+        nonlocal count
+        count += 1
+        return walk(kid, val, i)
+
+    monkeypatch.setattr(bijection, "_spine_walk", counting)
+    steps = _preimage_steps(_scan(text))
+    monkeypatch.setattr(bijection, "_spine_walk", walk)
+    return count, steps
+
+
+def test_preimage_steps_walk_each_repeated_subtree_once(monkeypatch):
+    # a subtree's preimage depends only on its shape, so a repeated subtree
+    # is not walked again; without that, the perfect tree takes 32 767 spine
+    # walks and tau(99 999) 34 463
+    for t, most in ((complete_binary(16), 1500), (tau(99_999), 1000)):
+        text = tree_to_text(t)
+        first, steps = _walks(monkeypatch, text)
+        assert first < most
+        # the memo lives for one call: a second call walks as much again
+        assert _walks(monkeypatch, text) == (first, steps)
+        assert steps == tree_to_path(t).steps()
+
+
+def test_text_ends_round_trip_beyond_the_exhaustive_range():
+    rng = random.Random(2024)
+    sizes = [rng.randint(0, 80) for _ in range(2000)]
+    sizes += [rng.randint(300, 5000) for _ in range(10)]
+    for n in sizes:
+        d = random_path(n, rng)
+        assert _preimage_steps(_scan(_image_text(d.heights))) == d.steps(), n
+
+
+def _hang(core, sub, sides):
+    # hang sub beside core once per side, from the bottom up: 1 on the left
+    # (a +1 subtree), 2 on the right (a -1 one)
+    t = core
+    for side in sides:
+        t = Tree(sub, t) if side == 1 else Tree(t, sub)
+    return t
+
+
+def test_preimage_steps_place_repeated_subtrees_on_both_sides():
+    # t2d keys subtrees of refined number 64 or more; here shapes of refined
+    # number 63 and 64, two of them with one size, repeat on both sides of
+    # spines, so a -1 copy is placed from a +1 copy and the other way round,
+    # and the spines sit at several depths: the whole tree, a free chain
+    # below it, a fix subtree and a hung one
+    t64 = tau(64)
+    shapes = (tau(63), complete_binary(6), t64, Tree(t64, LEAF), Tree(LEAF, t64))
+    for sub in shapes:
+        for sides in ((1, 2) * 3, (2, 1) * 3, (1, 1, 2, 2, 2, 1)):
+            a = _hang(tau(300), sub, sides)  # refined number 300
+            for t in (
+                a,
+                Tree(a, tau(200)),  # a is the free subtree, on the left
+                Tree(tau(150), a),  # and on the right
+                Tree(tau(500), a),  # a is the fix subtree, on the right
+                Tree(a, tau(500)),  # and on the left
+                _hang(tau(700), a, (1, 2, 1)),
+                _hang(Tree(a, tau(200)), sub, sides),
+            ):
+                assert refined_hs(t) >= 300
+                want = tree_to_path(t).steps()
+                assert _preimage_steps(_scan(tree_to_text(t))) == want
+
+
 # --- randomized properties -----------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -342,6 +413,8 @@ def test_conversion_recursion_is_logarithmic():
     big_path = tree_to_path(big)
     comb = 10**5
     comb_text = "(" * comb + "." + ".)" * comb  # a left comb
+    tau_text = tree_to_text(tau(99_999))
+    tau_steps = tree_to_path(tau(99_999)).steps()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frames + 40)
     try:
@@ -356,6 +429,8 @@ def test_conversion_recursion_is_logarithmic():
         assert _image_text(big_path.heights) == big_text
         assert _preimage_steps(_scan(big_text)) == big_path.steps()
         assert _preimage_steps(_scan(comb_text)) == "UUDD" + "UD" * (comb - 2)
+        # t2d's memo finds where each subtree ends without a frame per level
+        assert _preimage_steps(_scan(tau_text)) == tau_steps
     finally:
         sys.setrecursionlimit(limit)
 
