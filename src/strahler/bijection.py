@@ -250,7 +250,10 @@ def _preimage_steps(kid) -> str:
 # of a uniform random tree almost never repeat: on the images of two such
 # paths of half-length 10**5, keying every subtree of refined number 3 or
 # more made t2d 1.24x slower (median of 10 runs, CPython 3.11, 2 cores),
-# while 16, 64 and 256 were within 1% of each other
+# while 16, 64 and 256 were within 1% of each other.  At 64, keying the
+# first subtree of each size too made t2d on those two trees 1.09x and
+# 1.11x slower (slower in 19 of 20 alternating runs in one interpreter),
+# though 0.81x on the image of mountains of heights 1..400
 _MEMO_FROM = 64
 
 
@@ -284,43 +287,34 @@ def _path(kid, val, i, base, sign, memo=None, e=0):
             e = _end(kid, parts, 1, e)
     while levels:
         level, signs, parts, e = levels.pop()
-        # tree_to_path keeps its own loop: sharing the memo's part order and
-        # gate made it 5-8% slower on random trees at n = 1000
-        if memo is None:
-            for j, k in enumerate(parts):
-                if j != 1:
-                    # fix and +1 subtrees sit above the split level, -1 ones below it
-                    s = sign if j == 0 else sign * signs[j - 2]
-                    b = level + s
-                    parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
-        else:
-            # the fix subtree first, then the hung ones bottom-up: _end reads
-            # the hung subtrees above the one it places, so none is overwritten
-            for j in chain((0,), range(len(parts) - 1, 1, -1)):
-                k = parts[j]
-                s = sign if j == 0 else sign * signs[j - 2]
-                b = level + s
-                if val[k] < _MEMO_FROM:
-                    parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
-                    continue
-                end = _end(kid, parts, j, e)
-                start = kid[k]
-                size = 2 * end + 1 - start
-                if size not in memo:  # the first subtree of its size goes unkeyed
-                    memo[size] = True
-                    parts[j] = _path(kid, val, k, b, s, memo, end)
-                    continue
-                key = bytes(map(bool, kid[start : 2 * end + 1]))
-                got = memo.get(key)
-                if got is None:
-                    parts[j] = got = _path(kid, val, k, b, s, memo, end)
-                    memo[key] = b, s, got
-                    continue
-                fb, fs, got = got
-                if s == fs:
-                    parts[j] = map(add, got, repeat(b - fb))
-                else:
-                    parts[j] = map(sub, repeat(b + fb), got)
+        # the fix subtree first, then the hung ones bottom-up: _end reads
+        # the hung subtrees above the one it places, so none is overwritten
+        for j in chain((0,), range(len(parts) - 1, 1, -1)):
+            k = parts[j]
+            # fix and +1 subtrees sit above the split level, -1 ones below it
+            s = sign if j == 0 else sign * signs[j - 2]
+            b = level + s
+            if memo is None or val[k] < _MEMO_FROM:
+                parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+                continue
+            end = _end(kid, parts, j, e)
+            start = kid[k]
+            size = 2 * end + 1 - start
+            if size not in memo:  # the first subtree of its size goes unkeyed
+                memo[size] = True
+                parts[j] = _path(kid, val, k, b, s, memo, end)
+                continue
+            key = bytes(map(bool, kid[start : 2 * end + 1]))
+            got = memo.get(key)
+            if got is None:
+                parts[j] = got = _path(kid, val, k, b, s, memo, end)
+                memo[key] = b, s, got
+                continue
+            fb, fs, got = got
+            if s == fs:
+                parts[j] = map(add, got, repeat(b - fb))
+            else:
+                parts[j] = map(sub, repeat(b + fb), got)
         path = _join(level, parts[0], path, parts[2:])
     return path
 

@@ -282,13 +282,52 @@ def test_preimage_steps_walk_each_repeated_subtree_once(monkeypatch):
         assert steps == tree_to_path(t).steps()
 
 
-def test_text_ends_round_trip_beyond_the_exhaustive_range():
+def _rank_past(kid, k):
+    # the preorder rank just past the subtree at slot k of a _scan array:
+    # its root's rank plus its number of internal nodes
+    count, stack = 0, [k]
+    while stack:
+        c = kid[stack.pop()]
+        if c:
+            count += 1
+            stack += (c, c + 1)
+    return kid[k] // 2 + count
+
+
+def test_text_ends_round_trip_beyond_the_exhaustive_range(monkeypatch):
+    # t2d keys only fix and hung subtrees of refined number 64 or more, which
+    # need a path of height 130 or more.  Seeded uniform paths, mixes of
+    # mountains and mixes of repeated, partly lifted random excursions reach
+    # that code with the subtree as the fix one and hung on either side, and
+    # every rank _end returns is checked against a count of internal nodes
+    sides = {}
+    end = bijection._end
+
+    def checked(kid, parts, j, e):
+        if j != 1:  # not the free subtree
+            side = "fix" if j == 0 else "left" if parts[j] & 1 else "right"
+            sides[side] = sides.get(side, 0) + 1
+        got = end(kid, parts, j, e)
+        assert got == _rank_past(kid, parts[j])
+        return got
+
+    monkeypatch.setattr(bijection, "_end", checked)
     rng = random.Random(2024)
-    sizes = [rng.randint(0, 80) for _ in range(2000)]
-    sizes += [rng.randint(300, 5000) for _ in range(10)]
-    for n in sizes:
-        d = random_path(n, rng)
-        assert _preimage_steps(_scan(_image_text(d.heights))) == d.steps(), n
+    paths = [random_path(rng.randint(10_000, 30_000), rng) for _ in range(4)]
+    for _ in range(20):
+        heights = (63, 64, 65, 129, 130, 131, 200)
+        paths.append(_mountains(rng.choice(heights) for _ in range(rng.randint(2, 30))))
+    for _ in range(3):
+        excursions = [random_path(rng.randint(3_000, 12_000), rng).steps() for _ in range(2)]
+        excursions.append(_mountain(130).steps())
+        steps = []
+        for _ in range(rng.randint(4, 10)):
+            lift = rng.choice((0, 0, 1, 40))
+            steps += ["U" * lift, rng.choice(excursions), "D" * lift]
+        paths.append(DyckPath.from_steps("".join(steps)))
+    for d in paths:
+        assert _preimage_steps(_scan(_image_text(d.heights))) == d.steps()
+    assert all(sides.get(side, 0) >= 10 for side in ("fix", "left", "right")), sides
 
 
 def _hang(core, sub, sides):
