@@ -77,13 +77,23 @@ class DyckPath:
 
     @classmethod
     def from_steps(cls, steps: str) -> "DyckPath":
-        """Build from a U/D step string; '' gives the empty path."""
-        try:
-            deltas = list(map(_STEP.__getitem__, steps))
-        except KeyError:
-            i, c = next((i, c) for i, c in enumerate(steps) if c not in _STEP)
-            raise ValueError(f"bad step character {c!r} at index {i}") from None
-        return cls(accumulate(deltas, initial=0))
+        """Build from a U/D step string; '' gives the empty path.
+
+        Once every character is known to be U or D, the heights are summed
+        at C level over a signed-byte view of the steps, U mapped to +1 and
+        D to -1.  Each step then moves by exactly 1 by construction, so of
+        ``DyckPath``'s checks only the end at 0 and the floor at 0 are left,
+        with the same messages.
+        """
+        i = len(steps) - len(steps.lstrip("UD"))  # the first character no step has
+        if i < len(steps):
+            raise ValueError(f"bad step character {steps[i]!r} at index {i}")
+        hs = tuple(accumulate(memoryview(steps.encode().translate(_DELTA)).cast("b"), initial=0))
+        if hs[-1]:
+            raise ValueError("height sequence must start and end at 0")
+        if min(hs) < 0:
+            raise ValueError("height sequence must be nonnegative")
+        return cls._wrap(hs)
 
     @property
     def n(self) -> int:
@@ -109,7 +119,7 @@ class DyckPath:
 _store_heights = DyckPath.heights.__set__  # the slot's own store, past __setattr__
 EMPTY_PATH = DyckPath()
 _UD = bytes.maketrans(b"\0\1", b"DU")  # a step's byte is 1 when it goes up
-_STEP = {"U": 1, "D": -1}  # a step character's change of height
+_DELTA = bytes.maketrans(b"UD", b"\1\377")  # U and D as the signed bytes +1, -1
 
 
 def _steps(hs) -> str:
@@ -126,7 +136,7 @@ def parse_path(text: str) -> DyckPath:
     s = text.strip()
     if not s:
         return EMPTY_PATH
-    if s[0] in _STEP:
+    if s[0] in "UD":
         return DyckPath.from_steps(s)
     i = len(s) - len(s.lstrip("0123456789,- "))  # the first character no height has
     if i < len(s):

@@ -103,68 +103,88 @@ def _build(kid: list) -> Tree:
     return nodes[0]
 
 
-_PAIR = (0, 0)  # the two child slots _scan allocates per internal node
-
-
 def _scan(text: str) -> list:
-    """The ``kid`` array of the tree that ``text`` spells, in one pass.
+    """The ``kid`` array of the tree that ``text`` spells.
 
-    Node 0 is the root; a node's two children get the next two free indices
-    when its ``(`` opens, so ``kid[i]`` and ``kid[i] + 1`` are the children
-    of node i, both after it, and ``kid[i]`` is 0 for a leaf: the layout
-    ``_flatten`` gives, in preorder.  Malformed or non-full text raises the
-    ``ValueError`` of the first offending character.
+    Node 0 is the root, and the internal node of preorder rank q has its
+    children at 2q + 1 and 2q + 2, so ``kid[i]`` and ``kid[i] + 1`` are the
+    children of node i, both after it, and ``kid[i]`` is 0 for a leaf: the
+    layout ``_flatten`` gives, in preorder.
+
+    The text is a prefix code, so it is read right to left as a postfix one:
+    ``)`` pushes a marker -1 and ``.`` pushes 0, and each ``(`` finds its
+    left and right subtrees on top of the stack with its own ``)``'s marker
+    under them.  It pops the three, gives the node the next pair of slots
+    down from the end of ``kid`` and pushes the node's entry, the slot of its
+    left child.  The text is a tree exactly when every ``(`` finds that and
+    one entry of 0 or more is left at the end, the root's.  Any other ending
+    hands the text to ``_reject``, which reads it left to right and raises
+    the ``ValueError`` of the first offending character.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty tree text")
-    kid = [0]
-    # one entry per open node: the index of its right child while the left
-    # subtree is open, then 0 while the right one is, then -1 once both closed
+    j = 2 * s.count("(") + 1
+    kid = [0] * j
     stack = []
-    slot = 0  # where the next subtree goes
+    push, pop = stack.append, stack.pop
+    for c in reversed(s):
+        if c == ".":
+            push(0)
+        elif c == ")":
+            push(-1)
+        elif c == "(":
+            try:
+                a, b, marker = pop(), pop(), pop()
+            except IndexError:  # fewer than three entries under this (
+                break
+            if marker != -1 or a < 0 or b < 0:
+                break
+            j -= 2
+            kid[j], kid[j + 1] = a, b
+            push(j)
+        else:
+            break
+    else:
+        if len(stack) == 1 and stack[0] >= 0:
+            kid[0] = stack[0]
+            return kid
+    _reject(s)
+
+
+def _reject(s: str):
+    """Raise the ``ValueError`` of the first character at which the stripped
+    text ``s``, read left to right, stops being tree text."""
+    need = []  # per open node, the subtrees it still needs: 2, then 1, then 0
     for i, c in enumerate(s):
         if c == "(":
-            # in a node that has two subtrees already this overwrites one of
-            # them, but such text always ends in a ValueError
-            j = len(kid)
-            kid[slot] = j
-            kid += _PAIR
-            stack.append(j + 1)
-            slot = j
+            need.append(2)
             continue
         if c == ")":
-            if not stack:
+            if not need:
                 raise ValueError(f"unmatched ')' at index {i}")
-            state = stack.pop()
-            if state != -1:
-                raise ValueError(
-                    f"node closed at index {i} with {0 if state > 0 else 1} subtrees, need 2"
-                )
+            k = need.pop()
+            if k:
+                raise ValueError(f"node closed at index {i} with {2 - k} subtrees, need 2")
         elif c != ".":
             raise ValueError(f"bad character {c!r} at index {i}")
         # a subtree ended at i
-        if not stack:
+        if not need:
             break
-        state = stack[-1]
-        if state > 0:
-            slot = state
-            stack[-1] = 0
-        elif state == 0:
-            stack[-1] = -1
-        else:
+        if not need[-1]:
             raise ValueError(f"more than two subtrees before index {i}")
+        need[-1] -= 1
     else:
         raise ValueError("unclosed '('")
     i += 1  # the root's subtree ended before i: nothing may follow it
-    if i < len(s):
-        c = s[i]
-        if c == ")":
-            raise ValueError(f"unmatched ')' at index {i}")
-        if c not in "(.":
-            raise ValueError(f"bad character {c!r} at index {i}")
-        raise ValueError(f"trailing content at index {i}")
-    return kid
+    if i == len(s):
+        raise AssertionError("_scan refused well-formed tree text")
+    c = s[i]
+    if c == ")":
+        raise ValueError(f"unmatched ')' at index {i}")
+    if c not in "(.":
+        raise ValueError(f"bad character {c!r} at index {i}")
+    raise ValueError(f"trailing content at index {i}")
 
 
 def tree_to_text(t: Tree) -> str:

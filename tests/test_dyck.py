@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -57,10 +58,29 @@ def test_from_steps():
         ("UDxUy", "bad step character 'x' at index 2"),
         ("DU", "height sequence must be nonnegative"),
         ("UUD", "height sequence must start and end at 0"),
+        ("Ué", "bad step character 'é' at index 1"),
+        ("UD,", "bad step character ',' at index 2"),
+        ("U D", "bad step character ' ' at index 1"),
     ):
         with pytest.raises(ValueError) as info:
             DyckPath.from_steps(steps)
         assert str(info.value) == message
+    # every U/D word: the heights of the brute-force paths, or the message
+    # DyckPath gives for its partial sums
+    paths = {hs for n in range(7) for hs in brute_dyck_heights(n)}
+
+    def outcome(build, arg):
+        try:
+            return build(arg).heights
+        except ValueError as e:
+            return str(e)
+
+    for length in range(13):
+        for word in product("UD", repeat=length):
+            hs = tuple(accumulate((1 if c == "U" else -1 for c in word), initial=0))
+            got = outcome(DyckPath.from_steps, "".join(word))
+            assert got == outcome(DyckPath, hs)
+            assert (got == hs) == (hs in paths)
 
 
 def test_repr_and_hash():

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -26,9 +27,10 @@ from strahler import (
     vertex_count,
 )
 from strahler.cli import main
-from strahler.enumeration import all_full_binary_trees
+from strahler.enumeration import _tree_heights, _word_kid, all_full_binary_trees
+from strahler.tree import _build, _scan
 
-from oracles import brute_can_embed, brute_trees, tuple_tree_vertices
+from oracles import brute_can_embed, brute_trees, tuple_tree_text, tuple_tree_vertices
 
 EXAMPLE = "(.((..).))"  # vertices {(), 1, 2, 21, 22, 211, 212}
 
@@ -66,6 +68,14 @@ MALFORMED = {
     "(..)(": "trailing content at index 4",
     "(..))": "unmatched ')' at index 4",
     ".)": "unmatched ')' at index 1",
+    # texts whose right-to-left scan fails only at the end or mid-way, so
+    # that the left-to-right check alone names the offending character
+    "(.(.).)": "node closed at index 4 with 1 subtrees, need 2",
+    "((...))": "more than two subtrees before index 4",
+    "(.(..)).": "trailing content at index 7",
+    "((..)(..)": "unclosed '('",
+    "(.(..)))": "unmatched ')' at index 7",
+    "(.(..)x)": "bad character 'x' at index 6",
 }
 
 
@@ -79,6 +89,31 @@ def test_parse_rejects_malformed(capsys, bad):
     assert main(["t2d", bad]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_scan_accepts_exactly_the_tree_texts():
+    # every text of up to ten characters, against the brute-force trees
+    # (a tree with n internal nodes has 3n + 1 characters)
+    trees = {tuple_tree_text(t) for n in range(4) for t in brute_trees(n)}
+    accepted = set()
+    for length in range(11):
+        for chars in product("(.)", repeat=length):
+            s = "".join(chars)
+            try:
+                kid = _scan(s)
+            except ValueError:
+                continue  # any other exception class fails the test
+            assert tree_to_text(_build(kid)) == s
+            accepted.add(s)
+    assert accepted == trees
+
+
+def test_scan_matches_word_layout():
+    # _word_kid builds the same layout left to right from height words
+    for n in range(10):
+        for hs in _tree_heights(n):
+            want = _word_kid(hs)
+            assert _scan(tree_to_text(_build(want))) == want
 
 
 def test_repr_is_a_parse_tree_call():
