@@ -12,13 +12,13 @@ the statistic: the image of a path of height h has refined number h.
 Neither direction ever shifts or reflects a height.  A path piece is held
 as offsets into the real heights it was cut from, with a ``(base, sign)``
 pair, and ``dyck._cut`` cuts it (the piece format is described in
-``dyck.py``).  A tree is first flattened into breadth-first index arrays
-(``tree._flatten``: children of node i at ``kid[i]`` and ``kid[i] + 1``,
-refined numbers in ``val``), the spine walk reads indices, and every
-piece's path is emitted straight in final heights from its ``(base,
-sign)``, so joining a level is list concatenation plus one split of the
-free piece at its last visit to the split level.  Pieces with at most two
-internal nodes are built inline.
+``dyck.py``).  A tree is first flattened into index arrays (``tree._flatten``:
+children of node i at ``kid[i]`` and ``kid[i] + 1``, in the preorder layout
+that ``tree._scan`` reads from text, refined numbers in ``val``), the spine
+walk reads indices, and every piece's path is emitted straight in final
+heights from its ``(base, sign)``, so joining a level is list concatenation
+plus one split of the free piece at its last visit to the split level.
+Pieces with at most two internal nodes are built inline.
 
 The same single-level helpers (``dyck._cut`` and ``dyck._join``,
 ``tree._spine_walk`` and ``tree._assemble_tree``) back ``landmarks``,
@@ -35,28 +35,25 @@ paths of half-length around 10**6 convert at the default recursion limit.
 The CLI's ``d2t`` and ``t2d`` never build a ``Tree``.  ``_image_text`` cuts
 a path as ``path_to_tree`` does and writes the image's text instead, and
 ``_preimage_steps`` walks the ``kid`` array that ``tree._scan`` reads from
-text with the same ``_path``.  The image of a piece depends only on its own
-heights, so ``_image_text`` keeps one dict per call that maps a fix or spine
-piece's own U/D steps, as bytes, to its text, and writes the text of a
-repeated piece once: mountains, rising and falling mountains and the paths
-of perfect trees and of ``tau(r)`` repeat their pieces many times over.  On a
-uniform path they almost never repeat, so a piece is keyed only once an
-earlier piece of its size has been seen (see ``_tree_text``).  Likewise a
-subtree's preimage depends only on its shape, so ``_preimage_steps`` keeps
-one dict per call that maps a subtree's shape to the heights of a copy
-that was walked, and places each later copy from them with one ``map``.  In
-``_scan``'s preorder layout a subtree owns a contiguous run of ``kid`` slots,
-whose internal/leaf pattern is the key; only subtrees of refined number
-``_MEMO_FROM`` or more are keyed, since small ones are cheaper to walk than
-to key.  ``tree_to_path`` reads ``_flatten``'s breadth-first layout, where a
-subtree's slots are not contiguous, and keeps no memo.
+text with the same ``_preimage`` as ``tree_to_path``.  The image of a piece
+depends only on its own heights, so ``_image_text`` keeps one dict per call
+that maps a fix or spine piece's own U/D steps, as bytes, to its text, and
+writes the text of a repeated piece once: mountains, rising and falling
+mountains and the paths of perfect trees and of ``tau(r)`` repeat their
+pieces many times over.  On a uniform path they almost never repeat, so a
+piece is keyed only once an earlier piece of its size has been seen (see
+``_tree_text``).  Likewise a subtree's preimage depends only on its shape,
+so ``_preimage`` keeps one dict per call that maps the shape of a subtree
+of refined number ``_MEMO_FROM`` or more to the heights of a copy that was
+walked, and places each later copy from them with one ``map`` (see
+``_path``); smaller subtrees are cheaper to walk than to key.
 ``path_to_tree``'s images share their small subtrees, since every ``Tree``
 refuses assignment; ``_tree`` keeps no memo until one is measured.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, gt, lt, sub
 
 from .dyck import DyckPath, _cut, _join, _steps
@@ -225,28 +222,22 @@ def _small_path(kid, val, i, base, sign):
 def tree_to_path(t: Tree) -> DyckPath:
     """The unique path mapping to t under path_to_tree."""
     _, kid, val = _flatten(t)
-    return DyckPath._wrap(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1))
+    return DyckPath._wrap(_preimage(kid, val))
 
 
 def _preimage_steps(kid) -> str:
-    """The U/D steps of the preimage of the tree with ``tree._scan`` array
-    kid.
-
-    A subtree's preimage depends only on its shape, so one dict per call
-    lets each repeated subtree be walked once (see ``_path``).  In
-    ``_scan``'s layout the internal node of preorder rank q has its children
-    at slots 2q + 1 and 2q + 2, and a subtree's internal nodes have
-    consecutive ranks.  So the subtree at slot k whose ranks end just before
-    e owns exactly the slots ``kid[k]`` to 2e, and the key
-    ``bytes(map(bool, kid[kid[k]:2 * e + 1]))`` spells its shape.  The
-    root's subtree ends at rank ``len(kid) // 2``.
-    """
-    val = _values(kid)
-    return _steps(_small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1, {}, len(kid) // 2))
+    """The U/D steps of the preimage of the tree with ``tree._scan`` array kid."""
+    return _steps(_preimage(kid, _values(kid)))
 
 
-# the least refined number of a subtree that t2d looks up in its memo; a
-# subtree of refined number v has at least v internal nodes.  Big subtrees
+def _preimage(kid, val):
+    """The heights of the preimage of the tree with ``tree._scan``-layout
+    arrays kid and val, from one ``_path`` walk with one memo."""
+    return _small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1, {}, len(kid) // 2)
+
+
+# the least refined number of a subtree that _preimage looks up in its memo;
+# a subtree of refined number v has at least v internal nodes.  Big subtrees
 # of a uniform random tree almost never repeat: on the images of two such
 # paths of half-length 10**5, keying every subtree of refined number 3 or
 # more made t2d 1.24x slower (median of 10 runs, CPython 3.11, 2 cores),
@@ -257,7 +248,7 @@ def _preimage_steps(kid) -> str:
 _MEMO_FROM = 64
 
 
-def _path(kid, val, i, base, sign, memo=None, e=0):
+def _path(kid, val, i, base, sign, memo, e):
     """The final heights for the subtree at index i, placed at (base, sign),
     when ``_small_path`` gives None.
 
@@ -267,37 +258,42 @@ def _path(kid, val, i, base, sign, memo=None, e=0):
     and their refined number is at most ceil(h / 2) - 1, so the recursion is
     about log2(h) deep.
 
-    ``memo`` is the one dict of a ``_preimage_steps`` call; ``kid`` is then
-    in ``_scan``'s layout and the subtree at i ends just before rank e.  A
-    fix or hung subtree of refined number ``_MEMO_FROM`` or more is keyed by
-    its shape, and a repeated one is placed with one ``map`` over the
-    heights of the copy that was walked.  As in ``_tree_text``, the key is
-    paid only once two subtrees of one size have been seen: ``memo[size]``
-    is ``True`` once the first was walked, unkeyed, and ``memo[shape]``
-    holds the (base, sign, heights) of the next copy walked.
+    ``memo`` is the one dict of a ``_preimage`` call.  In ``_scan``'s layout
+    the internal node of preorder rank q has its children at slots 2q + 1
+    and 2q + 2, and a subtree's internal nodes have consecutive ranks.  So
+    the subtree at i, whose ranks end just before e (the root's at
+    ``len(kid) // 2``), owns exactly the slots ``kid[i]`` to 2e, and which
+    of them are internal spells its shape.  A fix or hung subtree of refined
+    number ``_MEMO_FROM`` or more is keyed by its shape, and a repeated one
+    is placed with one ``map`` over the heights of the copy that was walked.
+    As in ``_tree_text``, the key is paid only once two subtrees of one size
+    have been seen: ``memo[size]`` is ``True`` once the first was walked,
+    unkeyed, and ``memo[shape]`` holds the (base, sign, heights) of the next
+    copy walked.
     """
     levels = []
     path = None
     while path is None:
         h, signs, parts = _spine_walk(kid, val, i)
-        levels.append((base + sign * (h // 2), signs, parts, e))
         i = parts[1]
+        ends = None
+        if val[i] >= _MEMO_FROM:  # else no subtree of the level is keyed
+            ends = _ends(kid, parts, e)
+            e = ends[1]
+        levels.append((base + sign * (h // 2), signs, parts, ends))
         path = _small_path(kid, val, i, base, sign)
-        if path is None and memo is not None:
-            e = _end(kid, parts, 1, e)
     while levels:
-        level, signs, parts, e = levels.pop()
-        # the fix subtree first, then the hung ones bottom-up: _end reads
-        # the hung subtrees above the one it places, so none is overwritten
-        for j in chain((0,), range(len(parts) - 1, 1, -1)):
-            k = parts[j]
+        level, signs, parts, ends = levels.pop()
+        for j, k in enumerate(parts):
+            if j == 1:
+                continue
             # fix and +1 subtrees sit above the split level, -1 ones below it
             s = sign if j == 0 else sign * signs[j - 2]
             b = level + s
-            if memo is None or val[k] < _MEMO_FROM:
-                parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s)
+            if val[k] < _MEMO_FROM:  # nor any below it, so no end is read
+                parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s, memo, None)
                 continue
-            end = _end(kid, parts, j, e)
+            end = ends[j]
             start = kid[k]
             size = 2 * end + 1 - start
             if size not in memo:  # the first subtree of its size goes unkeyed
@@ -319,25 +315,22 @@ def _path(kid, val, i, base, sign, memo=None, e=0):
     return path
 
 
-def _end(kid, parts, j, e):
-    """The rank just past the subtree at ``parts[j]`` of a level from
-    ``tree._spine_walk`` on a ``_scan`` array, whose root's subtree ends
-    just before rank e.
+def _ends(kid, parts, e):
+    """The rank just past each of ``parts``, the subtrees of a level from
+    ``tree._spine_walk`` whose root's subtree ends just before rank e.
 
-    Left children sit at odd slots.  A left child whose right sibling is
-    internal ends where that sibling starts; any other subtree ends where
-    its parent ends.  Up the spine that is where the nearest internal -1
-    hung subtree above starts, else e.  ``parts`` must still hold the
-    indices of the hung subtrees above ``parts[j]``.
+    A left child, at an odd slot, whose right sibling is internal ends where
+    that sibling starts; any other subtree ends where its parent ends.
     """
-    k = parts[j]
-    if k & 1 and kid[k + 1]:
-        return kid[k + 1] // 2
-    for j in range(j - 1 if j > 1 else len(parts) - 1, 1, -1):
+    ends = [0, 0]
+    for k in parts[2:]:  # from the root down; a +1 one's sibling is the spine
+        ends.append(kid[k + 1] // 2 if k & 1 else e)
+        if not k & 1 and kid[k]:  # the spine turns left: it ends where k starts
+            e = kid[k] // 2
+    for j in 0, 1:
         k = parts[j]
-        if not k & 1 and kid[k]:  # a -1 hung subtree is a right child
-            return kid[k] // 2
-    return e
+        ends[j] = kid[k + 1] // 2 if k & 1 and kid[k + 1] else e
+    return ends
 
 
 def golden_witness() -> tuple[DyckPath, Tree]:

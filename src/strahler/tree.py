@@ -109,7 +109,7 @@ def _scan(text: str) -> list:
     Node 0 is the root, and the internal node of preorder rank q has its
     children at 2q + 1 and 2q + 2, so ``kid[i]`` and ``kid[i] + 1`` are the
     children of node i, both after it, and ``kid[i]`` is 0 for a leaf: the
-    layout ``_flatten`` gives, in preorder.
+    layout ``_flatten`` gives.
 
     The text is a prefix code, so it is read right to left as a postfix one:
     ``)`` pushes a marker -1 and ``.`` pushes 0, and each ``(`` finds its
@@ -355,24 +355,31 @@ def complete_binary(s: int) -> Tree:
 
 
 def _flatten(t: Tree):
-    """Index arrays for t, in breadth-first order: (nodes, kid, val).
-
-    Node i is ``nodes[i]``; its children are at ``kid[i]`` and ``kid[i] + 1``,
-    and ``kid[i]`` is 0 for a leaf.  ``val[i]`` is the refined number of the
-    subtree at i.  Nothing is cached across calls.
+    """Index arrays for t, in ``_scan``'s layout: (nodes, kid, val), so
+    ``_flatten(_build(kid))[1] == kid``.  Node i is ``nodes[i]``, and
+    ``val[i]`` is the refined number of its subtree.  Nothing is cached
+    across calls.
     """
     nodes = [t]
     push = nodes.append
-    kid = []
-    mark = kid.append
-    for node in nodes:  # the loop sees the nodes appended while it runs
+    kid = [0]
+    todo = [0]  # the root, then the internal right children still to visit
+    while todo:
+        i = todo.pop()
+        node = nodes[i]
         left = node.left
-        if left is None:
-            mark(0)
-        else:
-            mark(len(nodes))
+        while left is not None:  # in preorder each left child comes next
+            j = len(nodes)
+            kid[i] = j
+            kid += (0, 0)
             push(left)
-            push(node.right)
+            right = node.right
+            push(right)
+            if right.left is not None:
+                todo.append(j + 1)
+            i = j
+            node = left
+            left = node.left
     return nodes, kid, _values(kid)
 
 
@@ -495,7 +502,7 @@ def spine_vertex(t: Tree) -> tuple:
 
 
 def _spine_walk(kid: list, val: list, i: int):
-    """Decompose the subtree at index i of _flatten's arrays.
+    """Decompose the subtree at index i of a ``kid`` array and its ``val``.
 
     Returns (h, signs, parts) as ``dyck._cut`` does: ``parts`` is [fix, free,
     hung subtrees...] as node indices, from the root down, and ``signs`` tags

@@ -35,7 +35,7 @@ from strahler.enumeration import (
     histogram_by_height,
 )
 from strahler.dyck import _cut
-from strahler.tree import _flatten, _scan, _spine_walk
+from strahler.tree import _flatten, _scan, _spine_walk, _values
 
 from oracles import brute_dyck_heights, brute_image, brute_trees, tuple_tree_text
 
@@ -254,7 +254,7 @@ def test_image_text_keys_pieces_by_their_own_steps(monkeypatch):
     assert text == tree_to_text(path_to_tree(_mountains(range(1, 101))))
 
 
-def _walks(monkeypatch, text):
+def _walks(monkeypatch, convert, arg):
     count = 0
     walk = bijection._spine_walk
 
@@ -264,22 +264,29 @@ def _walks(monkeypatch, text):
         return walk(kid, val, i)
 
     monkeypatch.setattr(bijection, "_spine_walk", counting)
-    steps = _preimage_steps(_scan(text))
+    got = convert(arg)
     monkeypatch.setattr(bijection, "_spine_walk", walk)
-    return count, steps
+    return count, got
+
+
+def _t2d(text):
+    return _preimage_steps(_scan(text))
 
 
 def test_preimage_steps_walk_each_repeated_subtree_once(monkeypatch):
     # a subtree's preimage depends only on its shape, so a repeated subtree
-    # is not walked again; without that, the perfect tree takes 32 767 spine
-    # walks and tau(99 999) 34 463
+    # is not walked again, by t2d or by the library; without that, the
+    # perfect tree takes 32 767 spine walks and tau(99 999) 34 463
     for t, most in ((complete_binary(16), 1500), (tau(99_999), 1000)):
         text = tree_to_text(t)
-        first, steps = _walks(monkeypatch, text)
+        first, steps = _walks(monkeypatch, _t2d, text)
         assert first < most
         # the memo lives for one call: a second call walks as much again
-        assert _walks(monkeypatch, text) == (first, steps)
-        assert steps == tree_to_path(t).steps()
+        assert _walks(monkeypatch, _t2d, text) == (first, steps)
+        walks, d = _walks(monkeypatch, tree_to_path, t)
+        assert walks < most
+        assert _walks(monkeypatch, tree_to_path, t) == (walks, d)
+        assert steps == d.steps()
 
 
 def _rank_past(kid, k):
@@ -295,23 +302,28 @@ def _rank_past(kid, k):
 
 
 def test_text_ends_round_trip_beyond_the_exhaustive_range(monkeypatch):
-    # t2d keys only fix and hung subtrees of refined number 64 or more, which
-    # need a path of height 130 or more.  Seeded uniform paths, mixes of
-    # mountains and mixes of repeated, partly lifted random excursions reach
-    # that code with the subtree as the fix one and hung on either side, and
-    # every rank _end returns is checked against a count of internal nodes
+    # t2d and tree_to_path key only fix and hung subtrees of refined number
+    # 64 or more, which need a path of height 130 or more.  Seeded uniform
+    # paths, mixes of mountains and mixes of repeated, partly lifted random
+    # excursions reach that code with the subtree as the fix one and hung on
+    # either side, and every rank _ends gives an internal subtree is checked
+    # against a count of internal nodes
     sides = {}
-    end = bijection._end
+    ends = bijection._ends
+    # the conversion running and the refined numbers of its tree
+    conversion = val = None
 
-    def checked(kid, parts, j, e):
-        if j != 1:  # not the free subtree
-            side = "fix" if j == 0 else "left" if parts[j] & 1 else "right"
-            sides[side] = sides.get(side, 0) + 1
-        got = end(kid, parts, j, e)
-        assert got == _rank_past(kid, parts[j])
+    def checked(kid, parts, e):
+        got = ends(kid, parts, e)
+        for j, k in enumerate(parts):
+            if j != 1 and val[k] >= 64:  # a keyed subtree
+                side = conversion, "fix" if j == 0 else "left" if k & 1 else "right"
+                sides[side] = sides.get(side, 0) + 1
+            if kid[k]:
+                assert got[j] == _rank_past(kid, k)
         return got
 
-    monkeypatch.setattr(bijection, "_end", checked)
+    monkeypatch.setattr(bijection, "_ends", checked)
     rng = random.Random(2024)
     paths = [random_path(rng.randint(10_000, 30_000), rng) for _ in range(4)]
     for _ in range(20):
@@ -326,8 +338,15 @@ def test_text_ends_round_trip_beyond_the_exhaustive_range(monkeypatch):
             steps += ["U" * lift, rng.choice(excursions), "D" * lift]
         paths.append(DyckPath.from_steps("".join(steps)))
     for d in paths:
-        assert _preimage_steps(_scan(_image_text(d.heights))) == d.steps()
-    assert all(sides.get(side, 0) >= 10 for side in ("fix", "left", "right")), sides
+        kid = _scan(_image_text(d.heights))
+        val = _values(kid)  # tree_to_path's _flatten gives the same layout
+        conversion = "t2d"
+        assert _preimage_steps(kid) == d.steps()
+        conversion = "library"
+        assert tree_to_path(path_to_tree(d)) == d
+    for conversion in ("t2d", "library"):
+        for side in ("fix", "left", "right"):
+            assert sides.get((conversion, side), 0) >= 10, sides
 
 
 def _hang(core, sub, sides):

@@ -28,7 +28,7 @@ from strahler import (
 )
 from strahler.cli import main
 from strahler.enumeration import _tree_heights, _word_kid, all_full_binary_trees
-from strahler.tree import _build, _scan
+from strahler.tree import _build, _flatten, _scan
 
 from oracles import brute_can_embed, brute_trees, tuple_tree_text, tuple_tree_vertices
 
@@ -109,11 +109,14 @@ def test_scan_accepts_exactly_the_tree_texts():
 
 
 def test_scan_matches_word_layout():
-    # _word_kid builds the same layout left to right from height words
+    # _word_kid builds the same layout left to right from height words, and
+    # _flatten gives it back from the tree
     for n in range(10):
         for hs in _tree_heights(n):
             want = _word_kid(hs)
-            assert _scan(tree_to_text(_build(want))) == want
+            t = _build(want)
+            assert _scan(tree_to_text(t)) == want
+            assert _flatten(t)[1] == want
 
 
 def test_repr_is_a_parse_tree_call():
