@@ -18,7 +18,12 @@ that ``tree._scan`` reads from text, refined numbers in ``val``), the spine
 walk reads indices, and every piece's path is emitted straight in final
 heights from its ``(base, sign)``, so joining a level is list concatenation
 plus one split of the free piece at its last visit to the split level.
-Pieces with at most two internal nodes are built inline.
+``path_to_tree`` cuts no piece of at most ``_TABLE_N`` internal nodes: those
+with one or two are told apart inline, and the image of each longer one is
+looked up, by its own steps, in one table of every such path's image, built
+on first use (``_table``).  Pieces that small make most of the pieces of a
+uniform path.  Image nodes are made without ``Tree.__init__``
+(``tree._assemble_tree``).
 
 The same single-level helpers (``dyck._cut`` and ``dyck._join``,
 ``tree._spine_walk`` and ``tree._assemble_tree``) back ``landmarks``,
@@ -47,12 +52,15 @@ so ``_preimage`` keeps one dict per call that maps the shape of a subtree
 of refined number ``_MEMO_FROM`` or more to the heights of a copy that was
 walked, and places each later copy from them with one ``map`` (see
 ``_path``); smaller subtrees are cheaper to walk than to key.
-``path_to_tree``'s images share their small subtrees, since every ``Tree``
-refuses assignment; ``_tree`` keeps no memo until one is measured.
+``path_to_tree``'s images share each subtree of at most ``_TABLE_N``
+internal nodes with every other image, since every ``Tree`` refuses
+assignment; bigger repeated pieces are still cut once per copy, as
+``_tree`` keeps no per-call memo until one is measured.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 from operator import add, gt, lt, sub
 
@@ -65,23 +73,77 @@ _TREE_UD = Tree(LEAF, LEAF)
 _TREE_UDUD = Tree(LEAF, _TREE_UD)
 _TREE_UUDD = Tree(_TREE_UD, LEAF)
 
+# the largest half-length of a piece whose image _small_tree takes from
+# _table.  roundtrip-n1000 items_per_s for N = 5 / 6 / 7 / 8 (CPython 3.11.7,
+# 2 cores, seed 1): 386 / 365 / 414 / 404, medians of 13 / 13 / 13 / 7
+# interleaved perfbench/run.py --seconds 15 runs, quartiles 30 to 100 apart;
+# 392 / 411 for 6 / 7 in 8 more such runs each, 7 ahead in 5 of 8; 399 / 421
+# / 400 / 406, medians of 24 of its rounds per N interleaved in one process,
+# quartiles about 140 apart.  So all four are within noise.  Cuts on its 250
+# paths fall with N, 24 986 / 21 696 / 19 168 / 17 177, and the table grows
+# to 61 / 193 / 622 / 2 052 images, built in 0.5 / 1.3 / 4.3 / 17 ms on the
+# first call: 5 cuts 15 % more often than 6, and 7 and 8 hold 3 and 11 times
+# its images for no measured gain
+_TABLE_N = 6
+_SMALL = 2 * _TABLE_N + 1  # the heights of the longest piece _small_tree takes
 
-def _small_tree(hs, start, size):
-    """The image of the piece of ``size`` heights from ``hs[start]`` on,
-    when it has at most two internal nodes, else None."""
+
+def _key(hs, start, stop, sign):
+    """The own U/D steps of the piece ``hs[start:stop]`` placed with sign
+    ``sign``, as bytes, 1 for U and 0 for D: ``lt`` compares real heights
+    when ``sign`` is +1, ``gt`` when it is -1.  A piece's image depends only
+    on these steps."""
+    s = hs[start:stop]
+    return bytes(map(lt if sign == 1 else gt, s, s[1:]))
+
+
+@functools.cache  # built on the first call, then shared by every image
+def _table() -> dict:
+    """The image of every Dyck path of half-length 3 to ``_TABLE_N``, keyed
+    by ``_key``.
+
+    The paths are built as U a D b from the shorter ones, in order of
+    half-length, and each is cut one level; its pieces are shorter, so their
+    images are already built.  Nothing is added afterwards, and the entries
+    are shared by every image, since every ``Tree`` refuses assignment.
+    """
+    table = {}
+    paths = [[(0,)]]  # paths[k]: the heights of every path of half-length k
+    for n in range(1, _TABLE_N + 1):
+        ups = [[(0, *[x + 1 for x in a]) for a in paths[k]] for k in range(n)]  # U a D
+        paths.append([u + b for k in range(n) for u in ups[k] for b in paths[n - 1 - k]])
+        if n < 3:
+            continue
+        for hs in paths[n]:
+            h, signs, parts = _cut((hs, 0, len(hs), 0, 1))
+            for j, (ps, a, b, _, sign) in enumerate(parts):
+                # a longer piece from table, since _small_tree would call _table
+                parts[j] = table[_key(ps, a, b, sign)] if b - a > 5 else _small_tree(ps, a, b, sign)
+            table[_key(hs, 0, len(hs), 1)] = _assemble_tree(h, signs, parts)
+    return table
+
+
+def _small_tree(hs, start, stop, sign):
+    """The image of the piece ``hs[start:stop]`` placed with sign ``sign``,
+    when it has at most ``_TABLE_N`` internal nodes, else None.  Pieces with
+    at most two are told apart inline, longer ones are looked up in
+    ``_table``."""
+    size = stop - start
     if size == 1:
         return LEAF
     if size == 3:
         return _TREE_UD
     if size == 5:
         return _TREE_UDUD if hs[start + 2] == hs[start] else _TREE_UUDD
+    if size <= _SMALL:
+        return _table()[_key(hs, start, stop, sign)]
     return None
 
 
 def path_to_tree(d: DyckPath) -> Tree:
     """The tree image of d; refined number equals the height of d."""
     hs = d.heights
-    return _small_tree(hs, 0, len(hs)) or _tree((hs, 0, len(hs), 0, 1))
+    return _small_tree(hs, 0, len(hs), 1) or _tree((hs, 0, len(hs), 0, 1))
 
 
 def _tree(piece):
@@ -93,18 +155,18 @@ def _tree(piece):
     most ceil(h / 2) - 1, so the recursion is about log2(h) deep.
     """
     levels = []
-    while len(piece) != 5 or piece[2] - piece[1] > 5:  # two ranges are never small
+    while len(piece) != 5 or piece[2] - piece[1] > _SMALL:  # two ranges are never small
         h, signs, parts = _cut(piece)
         piece = parts[1]
         parts[1] = None  # drop the free piece, so its chain is freed once cut
         levels.append((h, signs, parts))
-    node = _small_tree(piece[0], piece[1], piece[2] - piece[1])
+    node = _small_tree(piece[0], piece[1], piece[2], piece[4])
     while levels:
         h, signs, parts = levels.pop()
         for j, p in enumerate(parts):
             if j != 1:
-                size = p[2] - p[1]
-                parts[j] = LEAF if size == 1 else _small_tree(p[0], p[1], size) or _tree(p)
+                hs, a, b, _, sign = p
+                parts[j] = LEAF if b - a == 1 else _small_tree(hs, a, b, sign) or _tree(p)
         parts[1] = node
         # a +1 piece's tree hangs on the left, a -1 piece's on the right
         node = _assemble_tree(h, signs, parts)
@@ -128,7 +190,8 @@ def _image_text(hs) -> str:
 
 
 def _tree_text(piece, memo):
-    """The text of ``_tree(piece)``, from the same cuts.
+    """The text of ``_tree(piece)``, cut as ``_tree`` cuts but on down to
+    pieces of at most two internal nodes.
 
     Each level of the free chain wraps the free piece's text in text before
     and after it, so both are collected, level by level, and joined once:
@@ -138,9 +201,8 @@ def _tree_text(piece, memo):
     ``memo`` is the one dict of an ``_image_text`` call.  A piece's image
     depends only on its own heights, that is on its own U/D steps, never on
     where it sits or on the rest of the path.  So a fix or spine piece with
-    the same steps as an earlier one takes that piece's text, keyed by the
-    steps as bytes (``lt`` compares real heights when ``sign`` is +1, ``gt``
-    when it is -1), and is not cut again: a mountain of half-length 10**5
+    the same steps as an earlier one takes that piece's text, keyed by
+    ``_key``, and is not cut again: a mountain of half-length 10**5
     takes 160 cuts, and 34 464 without the memo.  On a uniform path big
     pieces almost never repeat, so the key is paid only once two pieces of
     one size have been seen: ``memo[size]`` holds the first such piece and
@@ -168,12 +230,10 @@ def _tree_text(piece, memo):
                     else:
                         if first is not True:  # a second one: key the first
                             (fs, fa, fb, _, fsign), ftext = first
-                            s = fs[fa:fb]
-                            memo[bytes(map(lt if fsign == 1 else gt, s, s[1:]))] = ftext
+                            memo[_key(fs, fa, fb, fsign)] = ftext
                             memo[size] = True
                         hs, a, b, _, sign = p
-                        s = hs[a:b]
-                        key = bytes(map(lt if sign == 1 else gt, s, s[1:]))
+                        key = _key(hs, a, b, sign)
                         text = memo.get(key)
                         if text is None:
                             text = memo[key] = _tree_text(p, memo)
@@ -221,7 +281,7 @@ def _small_path(kid, val, i, base, sign):
 
 def tree_to_path(t: Tree) -> DyckPath:
     """The unique path mapping to t under path_to_tree."""
-    _, kid, val = _flatten(t)
+    kid, val = _flatten(t)
     return DyckPath._wrap(_preimage(kid, val))
 
 

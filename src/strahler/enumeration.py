@@ -229,7 +229,7 @@ def _path_pass(n: int) -> tuple[Histogram, list]:
     for d in all_dyck_paths(n):
         h = max(d.heights)
         acc[h] += 1
-        _, kid, val = _flatten(path_to_tree(d))
+        kid, val = _flatten(path_to_tree(d))
         if val[0] != h:
             problems.append(f"n={n} h={h}: image has wrong refined number")
             continue

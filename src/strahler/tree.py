@@ -80,6 +80,7 @@ class Tree:
 
 
 _store_left, _store_right = Tree.left.__set__, Tree.right.__set__  # past __setattr__
+_new = object.__new__  # _new(Tree) and the two stores: a node without __init__
 
 #: The unique tree with no internal node, shared by every tree.  Like every
 #: ``Tree``, it refuses assignment.
@@ -99,7 +100,9 @@ def _build(kid: list) -> Tree:
     for i in range(len(kid) - 1, -1, -1):  # children come after their parent
         k = kid[i]
         if k:
-            nodes[i] = Tree(nodes[k], nodes[k + 1])
+            node = nodes[i] = _new(Tree)
+            _store_left(node, nodes[k])
+            _store_right(node, nodes[k + 1])
     return nodes[0]
 
 
@@ -355,32 +358,29 @@ def complete_binary(s: int) -> Tree:
 
 
 def _flatten(t: Tree):
-    """Index arrays for t, in ``_scan``'s layout: (nodes, kid, val), so
-    ``_flatten(_build(kid))[1] == kid``.  Node i is ``nodes[i]``, and
-    ``val[i]`` is the refined number of its subtree.  Nothing is cached
-    across calls.
+    """Index arrays for t, in ``_scan``'s layout: (kid, val), so
+    ``_flatten(_build(kid))[0] == kid``, and ``val[i]`` is the refined
+    number of the subtree at index i.  Nothing is cached across calls.
     """
-    nodes = [t]
-    push = nodes.append
     kid = [0]
-    todo = [0]  # the root, then the internal right children still to visit
-    while todo:
-        i = todo.pop()
-        node = nodes[i]
+    slots = [0]  # the root, then the internal right children still to visit
+    trees = [t]  # and their subtrees
+    while slots:
+        i = slots.pop()
+        node = trees.pop()
         left = node.left
         while left is not None:  # in preorder each left child comes next
-            j = len(nodes)
+            j = len(kid)
             kid[i] = j
             kid += (0, 0)
-            push(left)
             right = node.right
-            push(right)
             if right.left is not None:
-                todo.append(j + 1)
+                slots.append(j + 1)
+                trees.append(right)
             i = j
             node = left
             left = node.left
-    return nodes, kid, _values(kid)
+    return kid, _values(kid)
 
 
 def _values(kid: list) -> list:
@@ -414,7 +414,7 @@ def refined_hs(t: Tree) -> int:
     """The largest r such that tau(r) embeds in t, by the bottom-up recursion."""
     if t.left is None:
         return 0
-    return _flatten(t)[2][0]
+    return _flatten(t)[1][0]
 
 
 def classical_hs(t: Tree) -> int:
@@ -496,7 +496,7 @@ def spine_vertex(t: Tree) -> tuple:
     """
     if t.left is None:
         return ()
-    _, kid, val = _flatten(t)
+    kid, val = _flatten(t)
     # a subtree hung on the left (+1) means the chain turned right (letter 2)
     return tuple(2 if s == 1 else 1 for s in _spine_walk(kid, val, 0)[1])
 
@@ -543,27 +543,45 @@ def decompose_tree(t: Tree) -> SpinalDecomposition:
     """
     if t.left is None:
         raise ValueError("cannot decompose a single leaf (refined number 0)")
-    nodes, kid, val = _flatten(t)
-    h, signs, parts = _spine_walk(kid, val, 0)
-    return SpinalDecomposition(
-        hs=h,
-        fix=nodes[parts[0]],
-        free=nodes[parts[1]],
-        spine=tuple((1 if s == 1 else 2, nodes[j]) for s, j in zip(signs, parts[2:])),
-    )
+    h, signs, _ = _spine_walk(*_flatten(t), 0)
+    # walk down from the root as _assemble_tree builds it: a +1 subtree hangs
+    # on the left, a -1 one on the right, and the spine goes on past it
+    spine = []
+    for s in signs:
+        if s == 1:
+            spine.append((1, t.left))
+            t = t.right
+        else:
+            spine.append((2, t.right))
+            t = t.left
+    fix, free = (t.right, t.left) if h % 2 == 0 else (t.left, t.right)
+    return SpinalDecomposition(hs=h, fix=fix, free=free, spine=tuple(spine))
 
 
 def _assemble_tree(h: int, signs, parts) -> Tree:
     """Rebuild a tree from one level in ``_spine_walk``'s format; no validation.
 
     ``parts`` is [fix, free, hung subtrees...] from the root down; ``signs``
-    hangs each hung subtree on the left (+1) or on the right (-1).
+    hangs each hung subtree on the left (+1) or on the right (-1).  Each new
+    node is made with ``_new`` and the two slot stores, so it skips
+    ``Tree.__init__`` and its check.
     """
-    fix, free = parts[0], parts[1]
-    node = Tree(free, fix) if h % 2 == 0 else Tree(fix, free)
+    node = _new(Tree)
+    if h % 2 == 0:
+        _store_left(node, parts[1])
+        _store_right(node, parts[0])
+    else:
+        _store_left(node, parts[0])
+        _store_right(node, parts[1])
     for j in range(len(signs) - 1, -1, -1):
-        hung = parts[j + 2]
-        node = Tree(hung, node) if signs[j] == 1 else Tree(node, hung)
+        up = _new(Tree)
+        if signs[j] == 1:
+            _store_left(up, parts[j + 2])
+            _store_right(up, node)
+        else:
+            _store_left(up, node)
+            _store_right(up, parts[j + 2])
+        node = up
     return node
 
 

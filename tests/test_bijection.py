@@ -14,6 +14,8 @@ from strahler import (
     DyckPath,
     Tree,
     complete_binary,
+    compose_tree,
+    decompose_tree,
     golden_witness,
     height,
     internal_count,
@@ -68,7 +70,13 @@ def test_shared_singletons_refuse_mutation():
 
 def test_every_node_refuses_assignment():
     image = path_to_tree(random_path(50, random.Random(2)))
-    for node in (tau(3).left, complete_binary(2), complete_binary(2).left, image, image.right):
+    parsed = parse_tree("((..)(.(..)))")
+    parts = decompose_tree(image)
+    composed = compose_tree(parts.hs, parts)
+    for node in (
+        tau(3).left, complete_binary(2), complete_binary(2).left, image, image.right,
+        parsed, parsed.right, parsed.right.right, composed,
+    ):
         assert not node.is_leaf
         for name in ("left", "right"):
             with pytest.raises(AttributeError):
@@ -83,6 +91,10 @@ def test_images_share_small_subtrees():
     assert path_to_tree(parse_path("UD")) is path_to_tree(parse_path("UD"))
     assert path_to_tree(parse_path("UDUD")) is path_to_tree(parse_path("UDUD"))
     assert path_to_tree(parse_path("UUDD")) is path_to_tree(parse_path("UUDD"))
+    # and every path short enough for the table of small images
+    for n in range(bijection._TABLE_N + 1):
+        for d in all_dyck_paths(n):
+            assert path_to_tree(d) is path_to_tree(DyckPath(d.heights))
     internal = set()
     stack = [path_to_tree(random_path(1000, random.Random(3)))]
     while stack:
@@ -175,6 +187,60 @@ def test_image_matches_oracle_exhaustive():
     assert count == 6918
 
 
+def test_small_image_table_holds_every_short_path():
+    # every path of half-length 3 to _TABLE_N, keyed by its own steps, maps
+    # to the definition's image, and tree_to_path gives the path back
+    table = bijection._table()
+    big = bijection._TABLE_N
+    assert big >= 3
+    for n in range(3, big + 1):
+        paths = brute_dyck_heights(n)
+        assert sum(len(key) == 2 * n for key in table) == catalan(n) == len(paths)
+        for hs in paths:
+            t = table[bytes(b > a for a, b in zip(hs, hs[1:]))]
+            assert tree_to_text(t) == tuple_tree_text(brute_image(hs))
+            assert tree_to_path(t).heights == hs
+    assert len(table) == sum(catalan(n) for n in range(3, big + 1))
+
+
+def test_path_to_tree_takes_small_pieces_from_the_table(monkeypatch):
+    bijection._table()  # built first: building it cuts each path it holds once
+    for n in range(bijection._TABLE_N + 1):
+        for d in all_dyck_paths(n):
+            cuts, t = _cuts(monkeypatch, path_to_tree, d)
+            assert cuts == 0 and tree_to_path(t) == d
+    # cutting on down to pieces of two internal nodes takes 200 cuts here
+    d = random_path(1000, random.Random(1))
+    cuts, t = _cuts(monkeypatch, path_to_tree, d)
+    assert cuts <= 100
+    assert tree_to_path(t) == d
+
+
+def test_conversions_build_nodes_without_init(monkeypatch):
+    # images, parsed trees, composed trees and enumerated trees make their
+    # nodes without Tree.__init__; the public constructor still runs it
+    count = 0
+    init = Tree.__init__
+
+    def counting(self, *args):
+        nonlocal count
+        count += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Tree, "__init__", counting)
+    assert Tree(LEAF, LEAF).left is LEAF and count == 1
+    with pytest.raises(ValueError):
+        Tree(LEAF)
+    count = 0
+    for d in (parse_path("UUDUDD"), random_path(1000, random.Random(4))):
+        t = path_to_tree(d)
+        assert parse_tree(tree_to_text(t)) == t
+        parts = decompose_tree(t)
+        assert compose_tree(parts.hs, parts) == t
+    assert sum(1 for n in range(6) for t in all_full_binary_trees(n)) == 1 + 1 + 2 + 5 + 14 + 42
+    assert count == 0
+
+
 def _tree_of(t):
     return LEAF if t is None else Tree(_tree_of(t[0]), _tree_of(t[1]))
 
@@ -215,11 +281,11 @@ def test_both_conversions_share_one_level_format():
         for d in all_dyck_paths(n):
             hs = d.heights
             h, signs, _ = _cut((hs, 0, len(hs), 0, 1))
-            _, kid, val = _flatten(path_to_tree(d))
+            kid, val = _flatten(path_to_tree(d))
             assert _spine_walk(kid, val, 0)[:2] == (h, signs), d
 
 
-def _cuts(monkeypatch, hs):
+def _cuts(monkeypatch, convert, arg):
     count = 0
     cut = bijection._cut
 
@@ -229,19 +295,19 @@ def _cuts(monkeypatch, hs):
         return cut(piece)
 
     monkeypatch.setattr(bijection, "_cut", counting)
-    text = _image_text(hs)
+    got = convert(arg)
     monkeypatch.setattr(bijection, "_cut", cut)
-    return count, text
+    return count, got
 
 
 def test_image_text_cuts_each_repeated_piece_once(monkeypatch):
     # a piece's text depends only on its own steps, so a repeated piece is
     # not cut again; without that, the perfect tree's path takes 2 047 cuts
     for d in (_mountain(2**12), tree_to_path(complete_binary(12))):
-        first, text = _cuts(monkeypatch, d.heights)
+        first, text = _cuts(monkeypatch, _image_text, d.heights)
         assert first < 200
         # the memo lives for one call: a second call cuts as much again
-        assert _cuts(monkeypatch, d.heights) == (first, text)
+        assert _cuts(monkeypatch, _image_text, d.heights) == (first, text)
         assert text == tree_to_text(path_to_tree(d))
 
 
@@ -249,7 +315,7 @@ def test_image_text_keys_pieces_by_their_own_steps(monkeypatch):
     # a -1 spine piece runs reflected in real heights; keyed by its own
     # steps it shares the text of an equal fix or +1 piece: 256 cuts here,
     # against 408 with keys read off real steps and 1 917 with no memo
-    cuts, text = _cuts(monkeypatch, _mountains(range(1, 101)).heights)
+    cuts, text = _cuts(monkeypatch, _image_text, _mountains(range(1, 101)).heights)
     assert cuts < 300
     assert text == tree_to_text(path_to_tree(_mountains(range(1, 101))))
 

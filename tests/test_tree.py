@@ -116,7 +116,7 @@ def test_scan_matches_word_layout():
             want = _word_kid(hs)
             t = _build(want)
             assert _scan(tree_to_text(t)) == want
-            assert _flatten(t)[1] == want
+            assert _flatten(t)[0] == want
 
 
 def test_repr_is_a_parse_tree_call():
