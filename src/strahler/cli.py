@@ -9,7 +9,9 @@ t2d TREE              convert a tree to its Dyck path
 decompose-tree TREE   print the spinal decomposition (with its hs)
 decompose-path PATH   print the landmark decomposition (with its height)
 enumerate --n N --side {trees,paths}
-verify --max-n N      exhaustive equidistribution check
+verify --max-n N [--timings]
+                      exhaustive equidistribution check; --timings adds
+                      each n's elapsed_s to its JSON row
 
 TREE arguments use the canonical text form (leaf ``.``, node ``(LR)``); PATH
 arguments accept a U/D step string or a comma-separated height sequence, and
@@ -139,20 +141,18 @@ def _cmd_verify(args) -> int:
             for h in sorted(row.by_height.counts):
                 print(json.dumps({"n": row.n, "h": h, "count": row.by_height.counts[h]}))
         for row in report.rows:
-            print(
-                json.dumps(
-                    {
-                        "n": row.n,
-                        "objects": row.by_height.total(),
-                        "cells": len(row.by_height.counts),
-                        "equal": row.counts_equal,
-                        "dyadic": row.dyadic_ok,
-                        "totals": row.totals_ok,
-                        "bijection": row.bijection_ok,
-                    },
-                    sort_keys=True,
-                )
-            )
+            record = {
+                "n": row.n,
+                "objects": row.by_height.total(),
+                "cells": len(row.by_height.counts),
+                "equal": row.counts_equal,
+                "dyadic": row.dyadic_ok,
+                "totals": row.totals_ok,
+                "bijection": row.bijection_ok,
+            }
+            if args.timings:
+                record["elapsed_s"] = row.elapsed_s
+            print(json.dumps(record, sort_keys=True))
         print(json.dumps({"max_n": report.max_n, "ok": report.ok}, sort_keys=True))
     else:
         print(f"{'n':>3} {'objects':>9} {'cells':>6} {'equal':>8} {'dyadic':>7} {'bijection':>10}")
@@ -216,6 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="exhaustive equidistribution check")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="with --format json, add each n's wall time as elapsed_s to its row",
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

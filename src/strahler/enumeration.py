@@ -11,13 +11,15 @@ Both generators are successors over one height list of length 2n + 1,
 rewritten in place, so they stream in O(n) memory.  A tree's word is read
 into the ``kid`` array of ``tree._scan``, and ``all_full_binary_trees``
 builds from it with ``tree._build``, as ``parse_tree`` does.  The histograms
-read the words and build no ``DyckPath`` or ``Tree``: the height is the
-word's maximum, the refined number is ``tree._values`` of the ``kid`` array,
-and the classical histogram is the dyadic grouping of the refined one until
-the classical number is computed on its own.
+build no ``DyckPath`` or ``Tree``.  A path's height is its word's maximum.
+The tree histograms read no words at all: a tree is a left and a right
+subtree, and its refined number (or its register number, the classical one)
+depends only on theirs, so ``_tree_values`` values every size-n tree from
+the values of the smaller sizes, one byte per tree.
 ``verify_equidistribution`` walks each family once per n, serially: one pass
 over the paths builds the height histogram and checks every image of
-``path_to_tree``, and one pass over the trees builds the refined histogram.
+``path_to_tree``, and one pass over the tree values builds the refined
+histogram.
 
 Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 ``verify_equidistribution`` refuses max_n > 30 rather than overflow.
@@ -28,10 +30,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
+from time import perf_counter
 
 from .bijection import path_to_tree
 from .dyck import DyckPath
-from .tree import _build, _flatten, _values
+from .tree import _build, _flatten
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -161,16 +164,60 @@ def histogram_by_height(n: int) -> Histogram:
     return Histogram(n, dict(Counter(map(max, _dyck_heights(n)))))
 
 
+def _refined(a: int, b: int) -> int:
+    """The refined number of a node whose subtrees have refined numbers a
+    and b: the join rule that ``tree._values`` applies inline."""
+    return max(a, b, 2 * min(a, b) + (1 if a > b else 0) + 1)
+
+
+def _register(a: int, b: int) -> int:
+    """The register (classical) number of a node whose subtrees have
+    register numbers a and b: one more when they are equal, else the larger."""
+    return a + 1 if a == b else max(a, b)
+
+
+def _tree_values(n: int, join) -> bytes:
+    """One byte per size-n tree: its value under ``join``, a leaf being 0.
+
+    The trees come in pair order: by the left subtree's size k ascending,
+    then by the left subtree, then by the right one, each in this same order
+    for its own size.  Size m is built from the smaller sizes: for each left
+    value a, the right size's bytes go through the 256-byte row
+    ``join(a, ·)`` in one ``bytes.translate``.  The values of every size up
+    to n are held, sum(catalan(k) for k <= n) bytes.  A size-n tree's
+    refined number is at most n, so n is capped at ``_CATALAN_MAX``, as in
+    ``catalan``, and every value fits in a byte.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > _CATALAN_MAX:
+        raise ValueError(f"n must be <= {_CATALAN_MAX}, as for catalan(n)")
+    rows = [bytes(join(a, b) for b in range(n + 1)).ljust(256, b"\0") for a in range(n + 1)]
+    sizes = [b"\0"]
+    for m in range(1, n + 1):
+        out = bytearray()
+        for k in range(m):
+            right = sizes[m - 1 - k]
+            for a in sizes[k]:
+                out += right.translate(rows[a])
+        sizes.append(bytes(out))
+    return sizes[n]
+
+
+def _value_counts(n: int, join) -> Histogram:
+    values = _tree_values(n, join)
+    return Histogram(n, {v: values.count(v) for v in range(n + 1)})
+
+
 def histogram_by_refined_hs(n: int) -> Histogram:
     """counts[h] = number of size-n trees with refined number h."""
-    refined = (_values(_word_kid(hs))[0] for hs in _tree_heights(n))
-    return Histogram(n, dict(Counter(refined)))
+    return _value_counts(n, _refined)
 
 
 def histogram_by_classical_hs(n: int) -> Histogram:
-    """counts[s] = number of size-n trees with classical number s: the dyadic
-    grouping of the refined histogram, which is how ``classical_hs`` is defined."""
-    return aggregate_dyadic(histogram_by_refined_hs(n))
+    """counts[s] = number of size-n trees with classical number s, computed
+    on its own as the register number, not from the refined one."""
+    return _value_counts(n, _register)
 
 
 def aggregate_dyadic(hist: Histogram) -> Histogram:
@@ -198,6 +245,7 @@ class VerifyRow:
     totals_ok: bool
     bijection_ok: bool
     mismatches: list = field(default_factory=list)
+    elapsed_s: float = 0.0  # wall time of this n's passes and checks
 
     @property
     def ok(self) -> bool:
@@ -253,12 +301,12 @@ def verify_equidistribution(max_n: int) -> VerifyReport:
     heights agrees with the classical-number counts, and that path_to_tree
     hits each (n, h) cell bijectively.
 
-    Each family is walked once per n, on the height-list successors: the
-    paths for the height histogram and every image check, the trees for the
-    refined histogram.  The classical histogram is the dyadic grouping of
-    the refined one, so ``dyadic_ok`` currently follows from
-    ``counts_equal``; it checks something of its own only once the
-    classical number is computed independently of the refined one.
+    Each family is walked once per n: the path words for the height
+    histogram and every image check, the tree values of ``_tree_values``
+    for the refined histogram.  The report's classical histogram is the
+    dyadic grouping of the refined one (``histogram_by_classical_hs``
+    computes it on its own), so ``dyadic_ok`` still follows from
+    ``counts_equal``.  Each row records its n's wall time in ``elapsed_s``.
 
     Mismatches land in the report; nothing raises.  max_n is capped at 30 to
     stay within 64-bit counts.
@@ -269,6 +317,7 @@ def verify_equidistribution(max_n: int) -> VerifyReport:
         raise ValueError(f"refusing max_n > {_VERIFY_MAX}: counts would overflow 64 bits")
     rows = []
     for n in range(max_n + 1):
+        start = perf_counter()
         by_height, problems = _path_pass(n)
         by_refined = histogram_by_refined_hs(n)
         by_classical = aggregate_dyadic(by_refined)
@@ -300,6 +349,7 @@ def verify_equidistribution(max_n: int) -> VerifyReport:
                 totals_ok=totals_ok,
                 bijection_ok=not problems,
                 mismatches=mismatches,
+                elapsed_s=perf_counter() - start,
             )
         )
     return VerifyReport(max_n=max_n, rows=rows)

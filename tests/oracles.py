@@ -135,3 +135,18 @@ def brute_can_embed(small_vertices, big_vertices):
         if ok:
             return True
     return False
+
+
+def path_height_counts(n):
+    """{h: number of Dyck paths of half-length n with height exactly h}, by a
+    dynamic programme over levels: the paths that stay at or below h, minus
+    those that stay at or below h - 1."""
+
+    def bounded(h):
+        row = [1] + [0] * h  # row[k]: prefixes so far that end at level k
+        for _ in range(2 * n):
+            row = [(row[k - 1] if k else 0) + (row[k + 1] if k < h else 0) for k in range(h + 1)]
+        return row[0]
+
+    counts = {h: bounded(h) - (bounded(h - 1) if h else 0) for h in range(n + 1)}
+    return {h: c for h, c in counts.items() if c}

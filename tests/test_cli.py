@@ -202,6 +202,20 @@ def test_verify_output_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_timings_only_add_elapsed_s(capsys):
+    # --timings adds elapsed_s to each per-n JSON row and changes nothing else
+    _, plain, _ = run(capsys, "verify", "--max-n", "6", "--format", "json")
+    code, timed, _ = run(capsys, "verify", "--max-n", "6", "--format", "json", "--timings")
+    assert code == 0
+    rows = [json.loads(line) for line in timed.splitlines()]
+    per_n = [r for r in rows if "equal" in r]
+    assert len(per_n) == 7
+    assert all(r.pop("elapsed_s") >= 0 for r in per_n)
+    assert "elapsed_s" not in plain
+    assert rows == [json.loads(line) for line in plain.splitlines()]
+    assert run(capsys, "verify", "--max-n", "6", "--timings") == run(capsys, "verify", "--max-n", "6")
+
+
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     # a wrong image for every path must surface as a failed run, not pass
     monkeypatch.setattr(enumeration, "path_to_tree", lambda d: LEAF)

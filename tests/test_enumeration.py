@@ -23,7 +23,7 @@ from strahler import (
 )
 from strahler.cli import main
 
-from oracles import brute_dyck_heights, brute_trees, tuple_tree_text
+from oracles import brute_dyck_heights, brute_trees, path_height_counts, tuple_tree_text
 
 
 # --- catalan ------------------------------------------------------------------
@@ -153,6 +153,53 @@ def test_histograms_against_brute_force():
         assert histogram_by_classical_hs(n).counts == Counter(map(classical, trees))
 
 
+def test_tree_values_match_oracles_in_pair_order():
+    def classical(t):
+        s = 0
+        while can_embed(complete_binary(s + 1), t):
+            s += 1
+        return s
+
+    trees = [[LEAF]]  # trees[m]: every size-m tree, in pair order
+    for n in range(1, 8):
+        trees.append(
+            [
+                Tree(left, right)
+                for k in range(n)
+                for left in trees[k]
+                for right in trees[n - 1 - k]
+            ]
+        )
+    for n, family in enumerate(trees):
+        refined = enumeration._tree_values(n, enumeration._refined)
+        assert refined == bytes(map(refined_hs_oracle, family))
+        assert enumeration._tree_values(n, enumeration._register) == bytes(map(classical, family))
+
+
+def test_tree_values_one_byte_per_tree():
+    for n in range(15):
+        for join in (enumeration._refined, enumeration._register):
+            assert len(enumeration._tree_values(n, join)) == catalan(n)
+
+
+def test_refined_histogram_beyond_desk_scale():
+    # the theorem at n = 13 and 14, against path heights counted level by level
+    for n in (13, 14):
+        assert histogram_by_refined_hs(n).counts == path_height_counts(n)
+
+
+def test_classical_histogram_does_not_read_the_refined_one(monkeypatch):
+    monkeypatch.setattr(enumeration, "histogram_by_refined_hs", lambda n: Histogram(n, {0: 1}))
+    for n in range(10):
+        assert histogram_by_classical_hs(n).counts == aggregate_dyadic(histogram_by_height(n)).counts
+
+
+def test_tree_histogram_range_errors():
+    for histogram in (histogram_by_refined_hs, histogram_by_classical_hs):
+        with pytest.raises(ValueError):
+            histogram(34)
+
+
 def test_dyadic_aggregation():
     for n in range(8):
         refined = histogram_by_refined_hs(n)
@@ -244,7 +291,8 @@ def test_verify_reports_wrong_counts_and_totals(monkeypatch, capsys):
 
 
 def test_verify_walks_each_family_once_per_n(monkeypatch):
-    # count the word generators, which every pass over a family goes through
+    # count the path words and the tree values, which every pass over a
+    # family goes through
     calls = {"paths": 0, "trees": 0}
 
     def counting(kind, stream):
@@ -257,7 +305,7 @@ def test_verify_walks_each_family_once_per_n(monkeypatch):
         enumeration, "_dyck_heights", counting("paths", enumeration._dyck_heights)
     )
     monkeypatch.setattr(
-        enumeration, "_tree_heights", counting("trees", enumeration._tree_heights)
+        enumeration, "_tree_values", counting("trees", enumeration._tree_values)
     )
     assert verify_equidistribution(6).ok
     assert calls == {"paths": 7, "trees": 7}
