@@ -162,16 +162,30 @@ def random_path(n: int, rng: random.Random | None = None) -> DyckPath:
     result stays nonnegative until its final step, and dropping that step
     yields a Dyck path.  Each path arises from the same number of shuffles,
     so the output is exactly uniform.
+
+    The shuffle is ``random.Random.shuffle``'s loop written out: for i from
+    2n down to 1 it draws j = ``rng.getrandbits(k)``, k the bit length of
+    i + 1, until j <= i, and swaps steps i and j.  These are the calls
+    ``shuffle`` makes, so a seeded rng (or the ``random`` module, when rng
+    is None) gives the same path and ends in the same state.  A ``Random``
+    subclass that overrides only ``random()`` is drawn through
+    ``getrandbits`` all the same.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = rng if rng is not None else random
+    getrandbits = (rng if rng is not None else random).getrandbits
     steps = [1] * n + [-1] * (n + 1)
-    rng.shuffle(steps)
+    # the i come in blocks that share k, so k is found once per block
+    for k in range((2 * n + 1).bit_length(), 1, -1):
+        for i in range(min(2 * n, (1 << k) - 2), (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            steps[i], steps[j] = steps[j], steps[i]
     sums = list(accumulate(steps))
     cut = sums.index(min(sums)) + 1
-    rotated = steps[cut:] + steps[:cut]
-    return DyckPath._wrap(accumulate(rotated[:-1], initial=0))
+    # the rotation that starts after the lowest sum, without its final step
+    return DyckPath._wrap(accumulate(steps[cut:] + steps[:cut - 1], initial=0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ the tests can compare the library against code that shares none of its
 machinery.
 """
 
-from itertools import combinations, product
+import random
+from itertools import accumulate, combinations, product
 
 
 def brute_dyck_heights(n):
@@ -27,6 +28,20 @@ def brute_dyck_heights(n):
             if level == 0:
                 out.append(tuple(heights))
     return out
+
+
+def reference_random_path(n, rng=None):
+    """The heights of a random path of half-length n by the cycle
+    construction over ``rng.shuffle`` (the ``random`` module when rng is
+    None): shuffle n up-steps and n + 1 down-steps, rotate to start after the
+    first lowest prefix sum, and drop the final step."""
+    rng = rng if rng is not None else random
+    steps = [1] * n + [-1] * (n + 1)
+    rng.shuffle(steps)
+    sums = list(accumulate(steps))
+    cut = sums.index(min(sums)) + 1
+    rotated = steps[cut:] + steps[:cut]
+    return tuple(accumulate(rotated[:-1], initial=0))
 
 
 def brute_landmarks(heights):

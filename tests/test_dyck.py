@@ -19,7 +19,7 @@ from strahler import (
 )
 from strahler.enumeration import all_dyck_paths
 
-from oracles import brute_dyck_heights, brute_landmarks
+from oracles import brute_dyck_heights, brute_landmarks, reference_random_path
 
 ZIGZAG = DyckPath((0, 1, 2, 1, 2, 1, 0))
 MOUNTAIN = DyckPath((0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0))
@@ -393,6 +393,38 @@ def test_random_path_valid_and_deterministic():
         n = rng.randrange(0, 30)
         again.append(random_path(n, rng).steps())
     assert seen == again
+
+
+def test_random_path_draws_as_shuffle_does():
+    # random_path makes Random.shuffle's getrandbits calls itself: one shared
+    # rng gives the reference's path at every n, and then the same next draw
+    sizes = [0, 1, 2, 3, 4, 5, 17, 64, 65, 1000, 10**5]
+    mix = random.Random(29)
+    sizes += [mix.randrange(40) for _ in range(300)]
+    for seed in (1, 2):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert random_path(n, rng).heights == reference_random_path(n, ref), n
+        assert rng.random() == ref.random()
+        assert rng.getstate() == ref.getstate()
+    # rng=None draws from the random module's own generator
+    saved = random.getstate()
+    try:
+        random.seed(3)
+        got = [random_path(n).heights for n in (0, 5, 64, 1000)]
+        after = random.random()
+        random.seed(3)
+        assert got == [reference_random_path(n) for n in (0, 5, 64, 1000)]
+        assert after == random.random()
+    finally:
+        random.setstate(saved)
+
+    # a subclass that overrides only random() is drawn through getrandbits
+    class OwnFloats(random.Random):
+        def random(self):
+            return 0.0
+
+    assert random_path(300, OwnFloats(4)) == random_path(300, random.Random(4))
 
 
 def test_random_path_covers_all_small_paths():

@@ -273,16 +273,16 @@ def test_verify_reports_wrong_counts_and_totals(monkeypatch, capsys):
         3: [
             "n=3 h=2: paths 3 != trees 4",
             "n=3 h=3: paths 1 != trees 0",
-            "n=3: dyadic grouping disagrees",
         ],
         4: [
             "n=4 h=4: paths 1 != trees 2",
-            "n=4: dyadic grouping disagrees",
             "n=4: totals differ from catalan(n)=14",
         ],
     }
     assert [row.mismatches for row in report.rows] == [[], [], [], expected[3], expected[4]]
     assert [row.totals_ok for row in report.rows] == [True, True, True, True, False]
+    # the classical column is counted on its own, so it still agrees
+    assert all(row.dyadic_ok for row in report.rows)
     assert main(["verify", "--max-n", "4"]) == 1
     out = capsys.readouterr().out.splitlines()
     printed = [line for line in out if line.startswith("    mismatch: ")]
@@ -290,9 +290,32 @@ def test_verify_reports_wrong_counts_and_totals(monkeypatch, capsys):
     assert out[-1] == "MISMATCH FOUND"
 
 
+def test_verify_reports_wrong_classical_counts_alone(monkeypatch, capsys):
+    real = enumeration.histogram_by_classical_hs
+
+    def wrong(n):
+        hist = real(n)
+        return Histogram(n, {**hist.counts, 0: 1, 1: hist.counts[1] - 1}) if n == 3 else hist
+
+    monkeypatch.setattr(enumeration, "histogram_by_classical_hs", wrong)
+    report = verify_equidistribution(4)
+    bad = report.rows[3]
+    assert not report.ok and not bad.dyadic_ok
+    assert bad.counts_equal and bad.totals_ok and bad.bijection_ok
+    assert bad.mismatches == ["n=3: dyadic grouping disagrees"]
+    assert [row.dyadic_ok for row in report.rows] == [True, True, True, False, True]
+    assert main(["verify", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("    mismatch: ")] == [
+        "    mismatch: n=3: dyadic grouping disagrees"
+    ]
+    assert out[-1] == "MISMATCH FOUND"
+
+
 def test_verify_walks_each_family_once_per_n(monkeypatch):
     # count the path words and the tree values, which every pass over a
-    # family goes through
+    # family goes through; the tree values are made once per statistic, for
+    # the refined and for the classical histogram
     calls = {"paths": 0, "trees": 0}
 
     def counting(kind, stream):
@@ -308,7 +331,7 @@ def test_verify_walks_each_family_once_per_n(monkeypatch):
         enumeration, "_tree_values", counting("trees", enumeration._tree_values)
     )
     assert verify_equidistribution(6).ok
-    assert calls == {"paths": 7, "trees": 7}
+    assert calls == {"paths": 7, "trees": 14}
 
 
 def test_verify_range_errors():
