@@ -35,7 +35,7 @@ import sys
 from .bijection import _image_text, _preimage_steps
 from .dyck import decompose_path, parse_path
 from .enumeration import all_dyck_paths, all_full_binary_trees, verify_equidistribution
-from .tree import _scan, _tau_text, _values, decompose_tree, parse_tree, tree_to_text
+from .tree import _register_number, _scan, _tau_text, _values, decompose_tree, parse_tree, tree_to_text
 
 
 def _value(arg: str) -> str:
@@ -66,8 +66,9 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_hs(args) -> int:
-    refined = _values(_scan(_value(args.tree)))[0]
-    classical = (1 + refined).bit_length() - 1
+    kid = _scan(_value(args.tree))
+    refined = _values(kid)[0]
+    classical = _register_number(kid)  # its own sweep, not read from refined
     _emit(
         args.format,
         [f"refined {refined}", f"classical {classical}"],

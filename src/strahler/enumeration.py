@@ -19,7 +19,10 @@ the values of the smaller sizes, one byte per tree.
 ``verify_equidistribution`` walks each family once per n, serially: one pass
 over the paths builds the height histogram and checks every image of
 ``path_to_tree``, and one pass over the tree values builds the refined
-histogram.
+histogram.  An image is checked through its text and refined number, read
+bottom-up off its shape: the nodes it shares with the table of small images
+are described once per process and found by ``id``, and each other node is
+joined from its two children.  The text is the distinctness key.
 
 Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 ``verify_equidistribution`` refuses max_n > 30 rather than overflow.
@@ -27,14 +30,15 @@ Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from time import perf_counter
 
-from .bijection import path_to_tree
+from .bijection import _TREE_UD, _TREE_UDUD, _TREE_UUDD, _table, path_to_tree
 from .dyck import DyckPath
-from .tree import _build, _flatten
+from .tree import LEAF, _build
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -267,32 +271,72 @@ class VerifyReport:
         return all(row.ok for row in self.rows)
 
 
+@functools.cache  # built once per process, from nodes _table keeps alive
+def _shared() -> dict:
+    """The (text, refined number) of every node of ``LEAF``, the ``_TREE_*``
+    images and ``bijection._table()``'s images, keyed by ``id``: the small
+    pieces every image of ``path_to_tree`` is made of.  The cached table and
+    the module constants keep these nodes alive, so no other object takes
+    one of their ids."""
+    known = {id(LEAF): (".", 0)}
+    nodes = [_TREE_UD, _TREE_UDUD, _TREE_UUDD, *_table().values()]
+    for t in nodes:  # the loop reaches what it appends: children after parents
+        if t.left is not None:
+            nodes += t.left, t.right
+    for t in reversed(nodes):
+        known[id(t)] = _describe(t, known)
+    return known
+
+
+def _describe(t, known) -> tuple:
+    """The (text, refined number) of the tree t, read off its shape: a node
+    in ``known`` by its ``id``, any other joined from its two children's.
+    It recurses as deep as the nodes not in ``known`` go."""
+    got = known.get(id(t))
+    if got is not None:
+        return got
+    if t.left is None:
+        return ".", 0
+    left, a = _describe(t.left, known)
+    right, b = _describe(t.right, known)
+    # _refined inline, as in tree._values, since the call doubles the time
+    # of _describe: the larger number, or one more than twice the smaller
+    # (two more when the left is larger), whichever is more
+    if a > b:
+        s = 2 * b + 2
+    else:
+        s, a = 2 * a + 1, b
+    return f"({left}{right})", s if s > a else a
+
+
 def _path_pass(n: int) -> tuple[Histogram, list]:
     """Walk the paths of half-length n once: the height histogram and the
     image checks of path_to_tree (refined number, size, and one distinct
-    image per path in each (n, h) cell)."""
-    acc: Counter = Counter()
-    images: dict[int, set] = {}
+    image per path in each (n, h) cell).
+
+    ``_describe`` reads each image's text and refined number off its shape,
+    never from the height ``path_to_tree`` built it for, looking up the nodes
+    of ``_shared()``.  Canonical text is one-to-one with trees, so it is the
+    distinctness key, and n internal nodes spell 3n + 1 characters.
+    """
+    shared = _shared()
+    heights = [0] * (n + 1)
+    images = [set() for _ in range(n + 1)]  # images[h]: the texts of cell h
     problems = []
     for d in all_dyck_paths(n):
         h = max(d.heights)
-        acc[h] += 1
-        kid, val = _flatten(path_to_tree(d))
-        if val[0] != h:
+        heights[h] += 1
+        text, value = _describe(path_to_tree(d), shared)
+        if value != h:
             problems.append(f"n={n} h={h}: image has wrong refined number")
-            continue
-        if len(kid) != 2 * n + 1:  # one entry per node
+        elif len(text) != 3 * n + 1:
             problems.append(f"n={n} h={h}: image has wrong size")
         else:
-            # kid determines the tree; its entries are below 2n + 1 <= 61
-            # (n <= _VERIFY_MAX = 30), so each fits in a byte
-            images.setdefault(h, set()).add(bytes(kid))
-    by_height = Histogram(n, dict(acc))
-    for h, count in by_height.counts.items():
-        got = len(images.get(h, ()))
-        if got != count:
-            problems.append(f"n={n} h={h}: {got} distinct images, expected {count}")
-    return by_height, problems
+            images[h].add(text)
+    for h, count in enumerate(heights):
+        if count and len(images[h]) != count:
+            problems.append(f"n={n} h={h}: {len(images[h])} distinct images, expected {count}")
+    return Histogram(n, dict(enumerate(heights))), problems
 
 
 def verify_equidistribution(max_n: int) -> VerifyReport:
@@ -302,7 +346,7 @@ def verify_equidistribution(max_n: int) -> VerifyReport:
     hits each (n, h) cell bijectively.
 
     Each family is walked once per n and statistic: the path words for the
-    height histogram and every image check, the tree values of
+    height histogram and every image check (``_path_pass``), the tree values of
     ``_tree_values`` once for the refined histogram and once for the
     classical one, counted as register numbers by ``histogram_by_classical_hs``
     and not grouped from the refined counts.  So ``dyadic_ok`` can fail while

@@ -362,6 +362,12 @@ def _flatten(t: Tree):
     ``_flatten(_build(kid))[0] == kid``, and ``val[i]`` is the refined
     number of the subtree at index i.  Nothing is cached across calls.
     """
+    kid = _kid(t)
+    return kid, _values(kid)
+
+
+def _kid(t: Tree) -> list:
+    """The ``kid`` array of t, in ``_scan``'s layout."""
     kid = [0]
     slots = [0]  # the root, then the internal right children still to visit
     trees = [t]  # and their subtrees
@@ -380,7 +386,7 @@ def _flatten(t: Tree):
             i = j
             node = left
             left = node.left
-    return kid, _values(kid)
+    return kid
 
 
 def _values(kid: list) -> list:
@@ -418,8 +424,23 @@ def refined_hs(t: Tree) -> int:
 
 
 def classical_hs(t: Tree) -> int:
-    """The largest s such that complete_binary(s) embeds in t."""
-    return (1 + refined_hs(t)).bit_length() - 1
+    """The largest s such that complete_binary(s) embeds in t: its register
+    number, computed on its own, not from the refined number."""
+    return _register_number(_kid(t))
+
+
+def _register_number(kid: list) -> int:
+    """The register number of the tree of a ``kid`` array, by one backward
+    sweep: a leaf has 0, and a node one more than its subtrees' when they
+    are equal, else the larger, as ``enumeration._register`` joins them."""
+    reg = [0] * len(kid)
+    for i in range(len(kid) - 1, -1, -1):  # children come after their parent
+        k = kid[i]
+        if k:
+            a = reg[k]
+            b = reg[k + 1]
+            reg[i] = a + 1 if a == b else (a if a > b else b)
+    return reg[0]
 
 
 def can_embed(small: Tree, big: Tree) -> bool:

@@ -65,6 +65,12 @@ def test_hs(capsys):
     assert out == "refined 2\nclassical 1\n"
 
 
+def test_hs_classical_is_its_own_sweep(capsys, monkeypatch):
+    # the classical line comes from register numbers, not from the refined one
+    monkeypatch.setattr(cli, "_values", lambda kid: [99] * len(kid))
+    assert run(capsys, "hs", "((..)(..))") == (0, "refined 99\nclassical 2\n", "")
+
+
 def test_hs_json_matches_text(capsys):
     _, text_out, _ = run(capsys, "hs", "(.((..).))")
     _, json_out, _ = run(capsys, "hs", "--format", "json", "(.((..).))")

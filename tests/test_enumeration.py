@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from strahler import enumeration
+from strahler import bijection, enumeration
 from strahler import (
     LEAF,
     Histogram,
@@ -17,7 +17,9 @@ from strahler import (
     histogram_by_height,
     histogram_by_refined_hs,
     parse_tree,
+    refined_hs,
     refined_hs_oracle,
+    tau,
     tree_to_text,
     verify_equidistribution,
 )
@@ -256,6 +258,65 @@ def test_verify_reports_wrong_sized_images(monkeypatch):
         "n=1 h=1: image has wrong size",
         "n=1 h=1: 0 distinct images, expected 1",
     ]
+
+
+def test_verify_reports_non_injective_images(monkeypatch):
+    # every path of a cell goes to that cell's first real image: its refined
+    # number and size are right, so only the distinct-image check can fail
+    real = enumeration.path_to_tree
+    first = {}
+
+    def collapsing(d):
+        return first.setdefault((len(d.heights), max(d.heights)), real(d))
+
+    monkeypatch.setattr(enumeration, "path_to_tree", collapsing)
+    report = verify_equidistribution(4)
+    assert [row.mismatches for row in report.rows] == [
+        [],
+        [],
+        [],
+        ["n=3 h=2: 1 distinct images, expected 3"],
+        ["n=4 h=2: 1 distinct images, expected 7", "n=4 h=3: 1 distinct images, expected 5"],
+    ]
+    assert [row.bijection_ok for row in report.rows] == [True, True, True, False, False]
+    assert all(row.counts_equal and row.dyadic_ok and row.totals_ok for row in report.rows)
+
+
+def test_describe_matches_text_and_refined_number():
+    shared = enumeration._shared()
+    for n in range(9):
+        for d in all_dyck_paths(n):
+            t = enumeration.path_to_tree(d)
+            assert enumeration._describe(t, shared) == (tree_to_text(t), refined_hs(t))
+    # trees that share no internal node with the table, and a leaf that is not LEAF
+    others = [
+        parse_tree("((.(..))(((..).).))"),
+        complete_binary(5),
+        tau(40),
+        Tree(Tree(), Tree(LEAF, Tree())),
+    ]
+    for t in others:
+        assert enumeration._describe(t, shared) == (tree_to_text(t), refined_hs(t))
+
+
+def test_describe_finds_small_images_whole_in_the_table():
+    # every image with n <= 6 is a table entry or one of the constants, so
+    # describing it visits no node outside the table
+    shared = enumeration._shared()
+    for n in range(7):
+        for d in all_dyck_paths(n):
+            assert id(enumeration.path_to_tree(d)) in shared
+    # and the table holds exactly the nodes of its images and the constants
+    seen = set()
+    stack = [LEAF, bijection._TREE_UD, bijection._TREE_UDUD, bijection._TREE_UUDD]
+    stack += bijection._table().values()
+    while stack:
+        t = stack.pop()
+        seen.add(id(t))
+        if t.left is not None:
+            stack += t.left, t.right
+    assert shared.keys() == seen
+    assert enumeration._shared() is shared  # built once
 
 
 def test_verify_reports_wrong_counts_and_totals(monkeypatch, capsys):

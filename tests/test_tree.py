@@ -26,6 +26,7 @@ from strahler import (
     tree_vertices,
     vertex_count,
 )
+from strahler import tree
 from strahler.cli import main
 from strahler.enumeration import _tree_heights, _word_kid, all_full_binary_trees
 from strahler.tree import _build, _flatten, _scan
@@ -300,12 +301,22 @@ def test_can_embed_matches_definition():
 
 
 def test_classical_matches_embedding_search():
-    for n in range(6):
+    for n in range(8):
         for t in all_full_binary_trees(n):
             s = 0
             while can_embed(complete_binary(s + 1), t):
                 s += 1
             assert classical_hs(t) == s
+
+
+def test_classical_hs_does_not_read_refined_numbers(monkeypatch):
+    # classical_hs sweeps kid for register numbers on its own, so wrong
+    # refined numbers show in refined_hs and nowhere in classical_hs
+    monkeypatch.setattr(tree, "_values", lambda kid: [99] * len(kid))
+    assert refined_hs(complete_binary(3)) == 99
+    # tau(2**12 - 2) is one node short of the perfect tree of height 12
+    trees = [LEAF, parse_tree(EXAMPLE), tau(5), complete_binary(3), tau(2**12 - 2)]
+    assert [classical_hs(t) for t in trees] == [0, 1, 2, 3, 11]
 
 
 # --- spine and decomposition ----------------------------------------------
