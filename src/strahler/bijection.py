@@ -12,12 +12,15 @@ the statistic: the image of a path of height h has refined number h.
 Neither direction ever shifts or reflects a height.  A path piece is held
 as offsets into the real heights it was cut from, with a ``(base, sign)``
 pair, and ``dyck._cut`` cuts it (the piece format is described in
-``dyck.py``).  A tree is first flattened into index arrays (``tree._flatten``:
-children of node i at ``kid[i]`` and ``kid[i] + 1``, in the preorder layout
-that ``tree._scan`` reads from text, refined numbers in ``val``), the spine
-walk reads indices, and every piece's path is emitted straight in final
-heights from its ``(base, sign)``, so joining a level is list concatenation
-plus one split of the free piece at its last visit to the split level.
+``dyck.py``).  A tree is first flattened into index arrays in one pass
+(``tree._flatten``: children of node i at ``kid[i]`` and ``kid[i] + 1``, in
+the preorder layout that ``tree._scan`` reads from text, refined numbers in
+``val``, read off the nodes, which store them), the spine walk reads
+indices, and every piece's path is emitted straight in final heights from
+its ``(base, sign)``, so joining a level is list concatenation plus one
+split of the free piece at its last visit to the split level.  Subtrees of
+refined number at most 2 are not walked: ``_small_path`` writes their paths
+in closed form.
 ``path_to_tree`` cuts no piece of at most ``_TABLE_N`` internal nodes: those
 with one or two are told apart inline, and the image of each longer one is
 looked up, by its own steps, in one table of every such path's image, built
@@ -258,25 +261,36 @@ def _tree_text(piece, memo):
 
 
 def _small_path(kid, val, i, base, sign):
-    """The final heights for the subtree at index i, placed at (base, sign),
-    when it has at most two internal nodes or is a right comb (refined
-    number 1), else None."""
-    v = val[i]
-    if v == 0:
-        return [base]
-    if v == 1:
-        size = 0
-        k = kid[i]
-        while k:  # a right comb: walk down its right children
-            size += 1
-            k = kid[k + 1]
-        return [base, base + sign] * size + [base]
-    if v == 2:
-        left = kid[i]  # the right child is at left + 1
-        # with refined number 2 and a leaf on the right, the left is internal
-        if not kid[left + 1] and not kid[kid[left]] and not kid[kid[left] + 1]:
-            return [base, base + sign, base + 2 * sign, base + sign, base]  # ((..).)
-    return None
+    """The final heights for the subtree at index i, of refined number at
+    most 2, placed at (base, sign), in closed form.
+
+    Such a subtree is a leaf, a right comb (refined number 1), or a
+    refined-2 zigzag: a leaf hung on either side of each node down its spine,
+    then, at the spine vertex, a right comb on the left (the free subtree)
+    and a leaf on the right (the fix one).  Its path is the comb's, split
+    before its last step down, with the fix leaf's peak and then each hung
+    leaf's step up (+1) or down (-1) from the split level in between.
+    """
+    up = base + sign  # the split level of a refined-2 subtree
+    if val[i] != 2:
+        tail = [base]
+    else:
+        tail = [up + sign, up]  # the fix leaf, then back to the split level
+        i = kid[i]  # the left child of each spine node in turn
+        while val[i] != 1:
+            if kid[i]:  # the spine turns left, a leaf hangs on the right
+                tail += (base, up)
+                i = kid[i]
+            else:  # the spine turns right, a leaf hangs on the left
+                tail += (up + sign, up)
+                i = kid[i + 1]
+        tail.append(base)
+    size = 0
+    k = kid[i]
+    while k:  # a right comb, or a leaf: walk down its right children
+        size += 1
+        k = kid[k + 1]
+    return [base, up] * size + tail
 
 
 def tree_to_path(t: Tree) -> DyckPath:
@@ -293,7 +307,7 @@ def _preimage_steps(kid) -> str:
 def _preimage(kid, val):
     """The heights of the preimage of the tree with ``tree._scan``-layout
     arrays kid and val, from one ``_path`` walk with one memo."""
-    return _small_path(kid, val, 0, 0, 1) or _path(kid, val, 0, 0, 1, {}, len(kid) // 2)
+    return _path(kid, val, 0, 0, 1, {}, len(kid) // 2)
 
 
 # the least refined number of a subtree that _preimage looks up in its memo;
@@ -309,14 +323,15 @@ _MEMO_FROM = 64
 
 
 def _path(kid, val, i, base, sign, memo, e):
-    """The final heights for the subtree at index i, placed at (base, sign),
-    when ``_small_path`` gives None.
+    """The final heights for the subtree at index i, placed at (base, sign).
 
     The loop walks the chain of free subtrees, all placed at (base, sign),
-    down to a small one; then, on the way back up, each level's fix and hung
-    subtrees are converted and joined to it.  Only those subtrees recurse,
-    and their refined number is at most ceil(h / 2) - 1, so the recursion is
-    about log2(h) deep.
+    down to one of refined number at most 2, which ``_small_path`` writes in
+    closed form; then, on the way back up, each level's fix and hung
+    subtrees are converted and joined to it: a leaf as its one height, one
+    of refined number 1 or 2 by ``_small_path``, and only the bigger ones
+    recurse.  Their refined number is at most ceil(h / 2) - 1, so the
+    recursion is about log2(h) deep.
 
     ``memo`` is the one dict of a ``_preimage`` call.  In ``_scan``'s layout
     the internal node of preorder rank q has its children at slots 2q + 1
@@ -332,8 +347,7 @@ def _path(kid, val, i, base, sign, memo, e):
     copy walked.
     """
     levels = []
-    path = None
-    while path is None:
+    while val[i] > 2:
         h, signs, parts = _spine_walk(kid, val, i)
         i = parts[1]
         ends = None
@@ -341,7 +355,7 @@ def _path(kid, val, i, base, sign, memo, e):
             ends = _ends(kid, parts, e)
             e = ends[1]
         levels.append((base + sign * (h // 2), signs, parts, ends))
-        path = _small_path(kid, val, i, base, sign)
+    path = _small_path(kid, val, i, base, sign)
     while levels:
         level, signs, parts, ends = levels.pop()
         for j, k in enumerate(parts):
@@ -350,8 +364,12 @@ def _path(kid, val, i, base, sign, memo, e):
             # fix and +1 subtrees sit above the split level, -1 ones below it
             s = sign if j == 0 else sign * signs[j - 2]
             b = level + s
-            if val[k] < _MEMO_FROM:  # nor any below it, so no end is read
-                parts[j] = _small_path(kid, val, k, b, s) or _path(kid, val, k, b, s, memo, None)
+            v = val[k]
+            if v < 3:
+                parts[j] = _small_path(kid, val, k, b, s) if v else (b,)
+                continue
+            if v < _MEMO_FROM:  # nor any below it, so no end is read
+                parts[j] = _path(kid, val, k, b, s, memo, None)
                 continue
             end = ends[j]
             start = kid[k]

@@ -38,7 +38,7 @@ from time import perf_counter
 
 from .bijection import _TREE_UD, _TREE_UDUD, _TREE_UUDD, _table, path_to_tree
 from .dyck import DyckPath
-from .tree import LEAF, _build
+from .tree import LEAF, _build, _refined
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -166,12 +166,6 @@ class Histogram:
 def histogram_by_height(n: int) -> Histogram:
     """counts[h] = number of paths of half-length n with height h."""
     return Histogram(n, dict(Counter(map(max, _dyck_heights(n)))))
-
-
-def _refined(a: int, b: int) -> int:
-    """The refined number of a node whose subtrees have refined numbers a
-    and b: the join rule that ``tree._values`` applies inline."""
-    return max(a, b, 2 * min(a, b) + (1 if a > b else 0) + 1)
 
 
 def _register(a: int, b: int) -> int:

@@ -21,7 +21,14 @@ tallest perfect binary tree embeddable in ``t``.  The refined number
 interpolates: ``tau(r)`` is the r-th member of a strictly increasing chain of
 trees with ``tau(2**s - 1)`` equal to the perfect tree of height s, and
 ``refined_hs(t)`` is the largest r such that ``tau(r)`` embeds in ``t``.  The
-classical number is recovered as ``floor(log2(1 + refined_hs(t)))``.
+classical number equals ``floor(log2(1 + refined_hs(t)))``, but
+``classical_hs`` computes it on its own, by the register recursion, never
+from the refined number.
+
+The refined number of a node depends only on its two subtrees' (``_refined``
+is the join), so every ``Tree`` stores its own in the slot ``_val`` when it
+is made, joined from its children's, and ``refined_hs`` reads it back.  No
+node is ever given a number from anywhere but its two children.
 
 Text format: a leaf prints as ``.`` and an internal node as ``(`` left right
 ``)``.  So ``(..)`` is the single-internal-node tree, ``((..).)`` hangs that
@@ -36,15 +43,23 @@ from dataclasses import dataclass
 
 class Tree:
     """A leaf (no arguments) or an internal node with two subtrees.  Every
-    ``Tree`` refuses assignment (``AttributeError``), so trees share subtrees."""
+    ``Tree`` refuses assignment (``AttributeError``), so trees share subtrees.
+    ``_val`` is the node's refined number, joined from its children's."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_val")
 
     def __init__(self, left=None, right=None):
         if (left is None) != (right is None):
             raise ValueError("a node has either two subtrees or none")
+        if left is None:
+            val = 0
+        elif isinstance(left, Tree) and isinstance(right, Tree):
+            val = _refined(left._val, right._val)
+        else:
+            raise ValueError("children must be Trees")
         _store_left(self, left)
         _store_right(self, right)
+        _store_val(self, val)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -79,8 +94,16 @@ class Tree:
         return f"parse_tree({tree_to_text(self)!r})"
 
 
-_store_left, _store_right = Tree.left.__set__, Tree.right.__set__  # past __setattr__
-_new = object.__new__  # _new(Tree) and the two stores: a node without __init__
+# the slots' own stores, past __setattr__
+_store_left, _store_right, _store_val = Tree.left.__set__, Tree.right.__set__, Tree._val.__set__
+_new = object.__new__  # _new(Tree) and the three stores: a node without __init__
+
+
+def _refined(a: int, b: int) -> int:
+    """The refined number of a node whose subtrees have refined numbers a
+    and b.  ``_build``, ``_assemble_tree`` and ``_values`` join inline."""
+    return max(a, b, 2 * min(a, b) + (1 if a > b else 0) + 1)
+
 
 #: The unique tree with no internal node, shared by every tree.  Like every
 #: ``Tree``, it refuses assignment.
@@ -100,9 +123,17 @@ def _build(kid: list) -> Tree:
     for i in range(len(kid) - 1, -1, -1):  # children come after their parent
         k = kid[i]
         if k:
+            left = nodes[k]
+            right = nodes[k + 1]
             node = nodes[i] = _new(Tree)
-            _store_left(node, nodes[k])
-            _store_right(node, nodes[k + 1])
+            _store_left(node, left)
+            _store_right(node, right)
+            a = left._val
+            b = right._val
+            s = 2 * b + 2 if a > b else 2 * a + 1  # _refined inline
+            if b > a:
+                a = b
+            _store_val(node, s if s > a else a)
     return nodes[0]
 
 
@@ -360,38 +391,37 @@ def complete_binary(s: int) -> Tree:
 def _flatten(t: Tree):
     """Index arrays for t, in ``_scan``'s layout: (kid, val), so
     ``_flatten(_build(kid))[0] == kid``, and ``val[i]`` is the refined
-    number of the subtree at index i.  Nothing is cached across calls.
+    number of the subtree at index i, read off its node.  Nothing is cached
+    across calls.
     """
-    kid = _kid(t)
-    return kid, _values(kid)
-
-
-def _kid(t: Tree) -> list:
-    """The ``kid`` array of t, in ``_scan``'s layout."""
     kid = [0]
+    val = [t._val]
     slots = [0]  # the root, then the internal right children still to visit
     trees = [t]  # and their subtrees
+    j = 1  # len(kid): the slot of the next node's left child
     while slots:
         i = slots.pop()
         node = trees.pop()
         left = node.left
         while left is not None:  # in preorder each left child comes next
-            j = len(kid)
             kid[i] = j
             kid += (0, 0)
             right = node.right
+            val += (left._val, right._val)
             if right.left is not None:
                 slots.append(j + 1)
                 trees.append(right)
             i = j
+            j += 2
             node = left
             left = node.left
-    return kid
+    return kid, val
 
 
 def _values(kid: list) -> list:
     """The refined number of every subtree of a ``kid`` array, as a list
-    ``val`` over the same indices."""
+    ``val`` over the same indices: for arrays read from text, whose nodes
+    carry no number."""
     # children come after their parent, so sweep backwards
     val = [0] * len(kid)
     for i in range(len(kid) - 1, -1, -1):
@@ -400,8 +430,7 @@ def _values(kid: list) -> list:
             continue
         a = val[k]
         b = val[k + 1]
-        # joining subtrees of refined numbers a, b gives
-        # max(a, b, 2 * min(a, b) + (1 if a > b else 0) + 1)
+        # _refined inline
         if a > b:
             s = 2 * b + 2
             if a > s:
@@ -417,16 +446,15 @@ def _values(kid: list) -> list:
 
 
 def refined_hs(t: Tree) -> int:
-    """The largest r such that tau(r) embeds in t, by the bottom-up recursion."""
-    if t.left is None:
-        return 0
-    return _flatten(t)[1][0]
+    """The largest r such that tau(r) embeds in t: the number the root
+    was given when it was made, by the bottom-up recursion."""
+    return t._val
 
 
 def classical_hs(t: Tree) -> int:
     """The largest s such that complete_binary(s) embeds in t: its register
     number, computed on its own, not from the refined number."""
-    return _register_number(_kid(t))
+    return _register_number(_flatten(t)[0])
 
 
 def _register_number(kid: list) -> int:
@@ -584,24 +612,46 @@ def _assemble_tree(h: int, signs, parts) -> Tree:
 
     ``parts`` is [fix, free, hung subtrees...] from the root down; ``signs``
     hangs each hung subtree on the left (+1) or on the right (-1).  Each new
-    node is made with ``_new`` and the two slot stores, so it skips
-    ``Tree.__init__`` and its check.
+    node is made with ``_new`` and the three slot stores, so it skips
+    ``Tree.__init__`` and its check, and its number is joined from its
+    children's, never taken from h.
     """
-    node = _new(Tree)
     if h % 2 == 0:
-        _store_left(node, parts[1])
-        _store_right(node, parts[0])
+        left, right = parts[1], parts[0]
     else:
-        _store_left(node, parts[0])
-        _store_right(node, parts[1])
-    for j in range(len(signs) - 1, -1, -1):
+        left, right = parts[0], parts[1]
+    node = _new(Tree)
+    _store_left(node, left)
+    _store_right(node, right)
+    v = left._val
+    x = right._val
+    # _refined inline, here and below: the larger of the two numbers and
+    # one more than twice the smaller (two more when the left is larger)
+    s = 2 * x + 2 if v > x else 2 * v + 1
+    if x > v:
+        v = x
+    if s > v:
+        v = s
+    _store_val(node, v)
+    j = len(signs)
+    while j:  # up the spine: v is node's number, x the hung subtree's
+        j -= 1
+        hung = parts[j + 2]
+        x = hung._val
         up = _new(Tree)
         if signs[j] == 1:
-            _store_left(up, parts[j + 2])
+            _store_left(up, hung)
             _store_right(up, node)
+            s = 2 * v + 2 if x > v else 2 * x + 1
         else:
             _store_left(up, node)
-            _store_right(up, parts[j + 2])
+            _store_right(up, hung)
+            s = 2 * x + 2 if v > x else 2 * v + 1
+        if x > v:
+            v = x
+        if s > v:
+            v = s
+        _store_val(up, v)
         node = up
     return node
 

@@ -30,6 +30,7 @@ from strahler import (
 )
 from strahler import bijection, tree
 from strahler.bijection import _image_text, _preimage_steps
+from strahler.cli import main
 from strahler.enumeration import (
     all_dyck_paths,
     all_full_binary_trees,
@@ -518,6 +519,47 @@ def test_round_trip_deep_shapes():
         d = tree_to_path(t)
         assert height(d) == refined_hs(t)
         assert path_to_tree(d) == t
+
+
+def _nested(t):
+    """t as the nested tuples of ``brute_image``; recursive, for small t."""
+    return None if t.left is None else (_nested(t.left), _nested(t.right))
+
+
+def test_preimages_below_refined_number_3_match_the_paper():
+    # the closed form of _small_path: a leaf, a right comb and every
+    # refined-2 zigzag, against the paper's construction on their preimages
+    count = 0
+    for n in range(11):
+        for t in all_full_binary_trees(n):
+            if refined_hs(t) > 2:
+                continue
+            count += 1
+            d = tree_to_path(t)
+            assert brute_image(d.heights) == _nested(t), t
+            assert _preimage_steps(_scan(tree_to_text(t))) == d.steps()
+    # as many as the paths of height at most 2 with n <= 10: 2**(n - 1) each
+    assert count == 2**10
+
+
+def test_deep_refined_2_trees_convert_in_closed_form(capsys):
+    # a left comb and a zigzag hanging its leaves on alternate sides, 10**5
+    # spine nodes each; the spine vertex's children are (..) and a leaf
+    n = 10**5
+    zig = "".join("(" if k % 2 else "(." for k in range(n))
+    zag = "".join(".)" if k % 2 else ")" for k in reversed(range(n)))
+    shapes = {
+        "(" * n + "((..).)" + ".)" * n: "DU" * n,
+        zig + "((..).)" + zag: "UDDU" * (n // 2),
+    }
+    for text, hung in shapes.items():
+        want = "UUD" + hung + "D"
+        t = parse_tree(text)
+        assert refined_hs(t) == 2
+        assert tree_to_path(t).steps() == want
+        assert main(["t2d", text]) == 0
+        assert capsys.readouterr().out == want + "\n"
+        assert path_to_tree(DyckPath.from_steps(want)) == t
 
 
 def test_conversion_recursion_is_logarithmic():

@@ -299,6 +299,37 @@ def test_describe_matches_text_and_refined_number():
         assert enumeration._describe(t, shared) == (tree_to_text(t), refined_hs(t))
 
 
+def _corrupted(t):
+    """t with every internal node's stored refined number set one too high
+    through the slot's own setter; t must share no node but leaves."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.left is not None:
+            Tree._val.__set__(node, node._val + 1)
+            stack += node.left, node.right
+    return t
+
+
+def test_image_checks_ignore_stored_numbers(monkeypatch):
+    # _describe and the embedding oracle read a tree's shape, never the
+    # number its nodes store; parsed trees share no internal node
+    shared = enumeration._shared()
+    for n in range(7):
+        for t in all_full_binary_trees(n):
+            want = refined_hs(t)
+            _corrupted(t)
+            assert refined_hs(t) == want + (n > 0)
+            assert refined_hs_oracle(t) == want
+            assert enumeration._describe(t, shared) == (tree_to_text(t), want)
+    # so verify passes on images whose every node stores a wrong number
+    real = enumeration.path_to_tree
+    monkeypatch.setattr(
+        enumeration, "path_to_tree", lambda d: _corrupted(parse_tree(tree_to_text(real(d))))
+    )
+    assert verify_equidistribution(7).ok
+
+
 def test_describe_finds_small_images_whole_in_the_table():
     # every image with n <= 6 is a table entry or one of the constants, so
     # describing it visits no node outside the table

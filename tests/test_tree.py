@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import functools
+import pickle
 from itertools import product
 
 import pytest
@@ -16,6 +19,7 @@ from strahler import (
     internal_count,
     meet,
     parse_tree,
+    path_to_tree,
     refined_hs,
     refined_hs_oracle,
     spine_vertex,
@@ -26,10 +30,10 @@ from strahler import (
     tree_vertices,
     vertex_count,
 )
-from strahler import tree
+from strahler import bijection, tree
 from strahler.cli import main
-from strahler.enumeration import _tree_heights, _word_kid, all_full_binary_trees
-from strahler.tree import _build, _flatten, _scan
+from strahler.enumeration import _tree_heights, _word_kid, all_dyck_paths, all_full_binary_trees
+from strahler.tree import _build, _flatten, _scan, _values
 
 from oracles import brute_can_embed, brute_trees, tuple_tree_text, tuple_tree_vertices
 
@@ -45,6 +49,14 @@ def test_node_shape_enforced():
         Tree(None, LEAF)
     assert LEAF.is_leaf
     assert not parse_tree("(..)").is_leaf
+
+
+def test_children_must_be_trees():
+    for left, right in ((1, 2), (LEAF, "(..)"), ((), LEAF), (Tree, LEAF)):
+        with pytest.raises(ValueError, match="^children must be Trees$"):
+            Tree(left, right)
+    with pytest.raises(ValueError, match="either two subtrees or none"):
+        Tree(1)
 
 
 def test_parse_round_trip():
@@ -311,12 +323,69 @@ def test_classical_matches_embedding_search():
 
 def test_classical_hs_does_not_read_refined_numbers(monkeypatch):
     # classical_hs sweeps kid for register numbers on its own, so wrong
-    # refined numbers show in refined_hs and nowhere in classical_hs
-    monkeypatch.setattr(tree, "_values", lambda kid: [99] * len(kid))
+    # refined numbers show in refined_hs and nowhere in classical_hs; the
+    # join that Tree(...) stores in every node is made wrong here
+    monkeypatch.setattr(tree, "_refined", lambda a, b: 99)
     assert refined_hs(complete_binary(3)) == 99
     # tau(2**12 - 2) is one node short of the perfect tree of height 12
     trees = [LEAF, parse_tree(EXAMPLE), tau(5), complete_binary(3), tau(2**12 - 2)]
     assert [classical_hs(t) for t in trees] == [0, 1, 2, 3, 11]
+
+
+@functools.cache
+def _oracle(text):
+    return refined_hs_oracle(parse_tree(text))
+
+
+def _check_numbers(t):
+    """Assert that every node of t stores the refined number that
+    ``_values`` gives its subtree in the array read back from t's text, and
+    the root the one of the embedding oracle; return the root's."""
+    text = tree_to_text(t)
+    kid = _scan(text)
+    want = _values(kid)
+    stack = [(t, 0)]
+    while stack:
+        node, i = stack.pop()
+        assert node._val == want[i], (text, i)
+        if kid[i]:
+            stack += (node.left, kid[i]), (node.right, kid[i] + 1)
+    assert want[0] == _oracle(text), text
+    return want[0]
+
+
+def _rebuilt(t):
+    return Tree() if t.left is None else Tree(_rebuilt(t.left), _rebuilt(t.right))
+
+
+def test_every_way_of_making_a_node_stores_its_refined_number():
+    for n in range(8):
+        for t in all_full_binary_trees(n):
+            text = tree_to_text(t)
+            made = [
+                t,
+                parse_tree(text),
+                _rebuilt(t),
+                tree_from_vertices(tree_vertices(t)),
+                pickle.loads(pickle.dumps(t)),
+                copy.deepcopy(t),
+            ]
+            made += [subtree(t, u) for u in tree_vertices(t)]
+            if n:
+                parts = decompose_tree(t)
+                made.append(compose_tree(parts.hs, parts))
+            for m in made:
+                _check_numbers(m)
+        for d in all_dyck_paths(n):
+            assert _check_numbers(path_to_tree(d)) == max(d.heights)
+    for t in (bijection._TREE_UD, bijection._TREE_UDUD, bijection._TREE_UUDD):
+        _check_numbers(t)
+    for t in bijection._table().values():
+        _check_numbers(t)
+    for r in range(65):
+        assert _check_numbers(tau(r)) == r
+    for s in range(7):
+        assert _check_numbers(complete_binary(s)) == 2**s - 1
 
 
 # --- spine and decomposition ----------------------------------------------
