@@ -29,13 +29,16 @@ the path at these indices:
 
 ``compose_path`` inverts this given h (the pieces alone do not always
 determine h, so it is passed explicitly and membership is validated).
+
+``Landmarks`` and ``PathDecomposition`` are named tuples: frozen, equal by
+fields, with ``_asdict()`` and ``_replace()``.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import add, indexOf, lt, sub
 
@@ -191,18 +194,12 @@ def random_path(n: int, rng: random.Random | None = None) -> DyckPath:
 # ---------------------------------------------------------------------------
 # Landmarks.
 
-@dataclass(frozen=True)
-class Landmarks:
+class Landmarks(
+    namedtuple("Landmarks", "height mid peak mid_before mid_after mid_last returns signs")
+):
     """The indices that drive decompose_path; see the module docstring."""
 
-    height: int
-    mid: int
-    peak: int
-    mid_before: int
-    mid_after: int
-    mid_last: int
-    returns: tuple
-    signs: tuple
+    __slots__ = ()
 
     @property
     def spine_length(self) -> int:
@@ -234,14 +231,10 @@ def landmarks(d: DyckPath) -> Landmarks:
 # ---------------------------------------------------------------------------
 # Decomposition and its inverse.
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(namedtuple("PathDecomposition", "height fix free spine")):
     """Output of decompose_path; ``height`` is the height of the source path."""
 
-    height: int
-    fix: DyckPath
-    free: DyckPath
-    spine: tuple
+    __slots__ = ()
 
     @property
     def spine_length(self) -> int:

@@ -26,13 +26,15 @@ joined from its two children.  The text is the distinctness key.
 
 Counts are kept within 64-bit range: ``catalan`` is capped accordingly, and
 ``verify_equidistribution`` refuses max_n > 30 rather than overflow.
+
+``Histogram``, ``VerifyRow`` and ``VerifyReport`` are named tuples, with
+``_asdict()`` and ``_replace()``.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from math import comb
 from time import perf_counter
 
@@ -142,22 +144,26 @@ def all_full_binary_trees(n: int):
 # ---------------------------------------------------------------------------
 # Histograms.
 
-@dataclass
-class Histogram:
+class Histogram(namedtuple("Histogram", "n counts")):
     """Exact counts of one statistic over all size-n objects of one family.
 
     ``counts`` maps a statistic value to the number of objects attaining it;
-    zero entries are dropped.  Over a whole family the counts sum to
+    construction, ``_replace`` included, copies it without its zero entries
+    and refuses a negative count.  Over a whole family the counts sum to
     catalan(n).
     """
 
-    n: int
-    counts: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.counts = {k: v for k, v in self.counts.items() if v != 0}
-        if any(v < 0 for v in self.counts.values()):
+    def __new__(cls, n, counts=None):
+        counts = {k: v for k, v in (counts or {}).items() if v != 0}
+        if any(v < 0 for v in counts.values()):
             raise ValueError("histogram counts must be nonnegative")
+        return super().__new__(cls, n, counts)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this, past __new__
+        return cls(*iterable)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -230,20 +236,23 @@ def aggregate_dyadic(hist: Histogram) -> Histogram:
 # ---------------------------------------------------------------------------
 # Verification harness.
 
-@dataclass
-class VerifyRow:
-    """Per-n outcome of the equidistribution check."""
+class VerifyRow(
+    namedtuple(
+        "VerifyRow",
+        "n by_height by_refined by_classical counts_equal dyadic_ok totals_ok"
+        " bijection_ok mismatches elapsed_s",
+        defaults=(None, 0.0),
+    )
+):
+    """Per-n outcome of the equidistribution check.  ``mismatches`` defaults
+    to a new empty list for each row, and ``elapsed_s``, the wall time of
+    this n's passes and checks, to 0.0."""
 
-    n: int
-    by_height: Histogram
-    by_refined: Histogram
-    by_classical: Histogram
-    counts_equal: bool
-    dyadic_ok: bool
-    totals_ok: bool
-    bijection_ok: bool
-    mismatches: list = field(default_factory=list)
-    elapsed_s: float = 0.0  # wall time of this n's passes and checks
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        row = super().__new__(cls, *fields, **named)
+        return row if row.mismatches is not None else row._replace(mismatches=[])
 
     @property
     def ok(self) -> bool:
@@ -255,10 +264,10 @@ class VerifyRow:
         )
 
 
-@dataclass
-class VerifyReport:
-    max_n: int
-    rows: list
+class VerifyReport(namedtuple("VerifyReport", "max_n rows")):
+    """The rows of ``verify_equidistribution``, one per n <= max_n."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

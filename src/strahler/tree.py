@@ -5,7 +5,10 @@ Conventions
 A tree is either a leaf, ``Tree()``, or an internal node ``Tree(left, right)``
 with exactly two subtrees; no other shapes exist.  A tree with n internal
 nodes has n + 1 leaves, hence 2n + 1 vertices.  Every ``Tree`` refuses
-assignment, so trees share subtrees freely.
+assignment, so trees share subtrees freely.  Equality, pickling and copying
+visit each distinct node (or pair of nodes) once and never recurse, so they
+cost what the shared form holds, at any depth.  ``decompose_tree`` returns
+a ``SpinalDecomposition``, a frozen named tuple.
 
 Positions in a tree are addressed by vertices: tuples over {1, 2}, read from
 the root.  ``()`` is the root, 1 means "left child", 2 means "right child".
@@ -38,7 +41,7 @@ full binary tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class Tree:
@@ -67,8 +70,23 @@ class Tree:
     def __delattr__(self, name):
         raise AttributeError("Tree is immutable")
 
-    def __reduce__(self):  # pickle and copy hand back the module's own LEAF
-        return "LEAF" if self is LEAF else (Tree, (self.left, self.right))
+    def __reduce__(self):
+        """Pickle and copy a tree as one flat list, so that no depth
+        recurses: two codes per distinct internal node, children before
+        parents, each code 0 for a leaf or the 1-based rank of an internal
+        child.  ``_unflatten`` rebuilds it, every leaf as ``LEAF``, and a
+        node shared in the tree is shared in its copy."""
+        rank = {}  # id of each internal node coded so far -> its rank
+        codes = []
+        stack = [(self, False)]
+        while stack:
+            node, children_coded = stack.pop()
+            if children_coded:
+                codes += (rank.get(id(node.left), 0), rank.get(id(node.right), 0))
+                rank[id(node)] = len(codes) // 2
+            elif node.left is not None and id(node) not in rank:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        return _unflatten, (codes,)
 
     @property
     def is_leaf(self) -> bool:
@@ -77,17 +95,27 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        # iterative so that very deep trees compare without blowing the stack
+        # iterative, down each chain of left children, so that very deep
+        # trees compare without blowing the stack, and each pair of nodes
+        # once, so that shared subtrees compare once.  Unequal refined
+        # numbers mean unequal shapes, and only a leaf has refined number 0.
+        seen = set()
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if (a.left is None) != (b.left is None):
-                return False
-            if a.left is not None:
-                stack.append((a.left, b.left))
+            while a is not b:
+                v = a._val
+                if v != b._val:
+                    return False
+                if not v:
+                    break
+                pair = (id(a), id(b))
+                if pair in seen:
+                    break
+                seen.add(pair)
                 stack.append((a.right, b.right))
+                a = a.left
+                b = b.left
         return True
 
     def __repr__(self):
@@ -97,6 +125,14 @@ class Tree:
 # the slots' own stores, past __setattr__
 _store_left, _store_right, _store_val = Tree.left.__set__, Tree.right.__set__, Tree._val.__set__
 _new = object.__new__  # _new(Tree) and the three stores: a node without __init__
+
+
+def _unflatten(codes) -> Tree:
+    """The tree of ``Tree.__reduce__``'s codes."""
+    nodes = [LEAF]
+    for i in range(0, len(codes), 2):
+        nodes.append(Tree(nodes[codes[i]], nodes[codes[i + 1]]))
+    return nodes[-1]
 
 
 def _refined(a: int, b: int) -> int:
@@ -515,8 +551,7 @@ def refined_hs_oracle(t: Tree) -> int:
 # ---------------------------------------------------------------------------
 # Spinal decomposition.
 
-@dataclass(frozen=True)
-class SpinalDecomposition:
+class SpinalDecomposition(namedtuple("SpinalDecomposition", "hs fix free spine")):
     """Output of decompose_tree.
 
     ``hs`` is the refined number of the source tree.  ``spine`` lists, from
@@ -527,10 +562,7 @@ class SpinalDecomposition:
     ``free`` ranges over floor(hs / 2) .. hs - 1.
     """
 
-    hs: int
-    fix: Tree
-    free: Tree
-    spine: tuple
+    __slots__ = ()
 
     @property
     def spine_length(self) -> int:

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +300,35 @@ def test_json_and_text_agree_numerically(capsys):
     assert f"h {obj['h']}" in text_out
     for entry in obj["spine"]:
         assert f"{entry['sign']:+d}" in text_out
+
+
+# --- cold start -------------------------------------------------------------------
+
+# the standard-library modules that src/strahler imports
+_STDLIB = "argparse bisect collections functools itertools json math operator random time"
+
+
+def _modules_added_by(imports: str) -> set:
+    """The modules that ``import <imports>`` adds to a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys; before = set(sys.modules); import " + imports
+        + "; print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_import_loads_nothing_but_the_stdlib_modules_it_names():
+    # a module that the package pulls in beyond these, such as dataclasses
+    # with inspect, ast and tokenize behind it, is paid by every process
+    package = _modules_added_by("strahler, strahler.cli")
+    stdlib = _modules_added_by(_STDLIB.replace(" ", ", "))
+    ours = {"strahler"} | {
+        f"strahler.{m}" for m in ("bijection", "cli", "dyck", "enumeration", "tree")
+    }
+    assert package - stdlib == ours | {"__future__"}
+

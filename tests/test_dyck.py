@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import accumulate, product
 
@@ -185,7 +184,7 @@ def test_landmarks_match_oracle_exhaustive():
     # every path with 1 <= n <= 8, against the definitions recomputed by brute force
     for n in range(1, 9):
         for hs in brute_dyck_heights(n):
-            assert dataclasses.asdict(landmarks(DyckPath(hs))) == brute_landmarks(hs), hs
+            assert landmarks(DyckPath(hs))._asdict() == brute_landmarks(hs), hs
 
 
 def _check_landmarks(d):
@@ -320,7 +319,7 @@ def test_compose_rejects_bad_membership():
         compose_path(2, PathDecomposition(2, EMPTY_PATH, hump, ((1, hump),)))
     parts = decompose_path(DyckPath.from_steps("UUUDDD"))
     with pytest.raises(ValueError) as exc:
-        compose_path(3, dataclasses.replace(parts, free=EMPTY_PATH))
+        compose_path(3, parts._replace(free=EMPTY_PATH))
     assert str(exc.value) == "membership violation: free piece has height 0, need 1 .. 2"
 
 

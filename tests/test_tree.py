@@ -1,7 +1,7 @@
 import copy
-import dataclasses
 import functools
 import pickle
+import time
 from itertools import product
 
 import pytest
@@ -141,6 +141,60 @@ def test_structural_equality():
     assert (Tree(LEAF, LEAF) == 1) is False
     assert parse_tree("((..).)") != parse_tree("(.(..))")
     assert parse_tree(EXAMPLE) == parse_tree(EXAMPLE)
+
+
+def test_equality_compares_each_pair_of_nodes_once():
+    # each side built on its own, so no node is shared between the sides,
+    # while each side shares its subtrees: walking every path would take
+    # 2**40 steps on the perfect trees.  Each check is named before it is
+    # asserted, since a failing assert prints its operands, and the text of
+    # the perfect tree of height 40 has 3 * 2**40 characters.
+    start = time.perf_counter()
+    perfect = complete_binary(40) == complete_binary(40)
+    chain = tau(10**6) == tau(10**6)
+    assert perfect and chain
+    assert time.perf_counter() - start < 0.5
+    # the perfect tree with its last leaf replaced by (..) or by (.(..)),
+    # built on its own: the roots' refined numbers agree, so only the walk
+    # down to that leaf tells the trees apart
+    for last in (Tree(LEAF, LEAF), parse_tree("(.(..))")):
+        node, odd = LEAF, last
+        for _ in range(39):
+            node, odd = Tree(node, node), Tree(node, odd)
+        odd = Tree(node, odd)
+        start = time.perf_counter()
+        unequal = odd != complete_binary(40) and complete_binary(40) != odd
+        assert unequal
+        assert time.perf_counter() - start < 0.5
+    # a left comb deeper than the recursion limit against copies that
+    # differ at its deepest leaf
+    deep = 5000
+    comb = parse_tree("(" * deep + "." + ".)" * deep)
+    assert comb == parse_tree("(" * deep + "." + ".)" * deep)
+    assert comb != parse_tree("(" * deep + "(..)" + ".)" * deep)
+    assert comb != parse_tree("(" * deep + "." + "(..))" + ".)" * (deep - 1))
+
+
+def test_pickle_and_deepcopy_of_a_deep_comb():
+    deep = 10**5
+    comb = parse_tree("(" * deep + "." + ".)" * deep)
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        got = clone(comb)
+        assert got == comb and got is not comb
+        assert refined_hs(got) == 2 and internal_count(got) == deep
+
+
+def test_pickle_keeps_shared_subtrees_shared():
+    # two codes per distinct internal node: tau(10**6) has 4 043 of them and
+    # the perfect tree of height 40 has 40
+    assert len(pickle.dumps(tau(10**6))) <= 40_000
+    t = complete_binary(40)
+    data = pickle.dumps(t)
+    assert len(data) <= 400
+    for got in (pickle.loads(data), copy.deepcopy(t)):
+        # named first, as in the equality test, so that a failure never prints t
+        shared = got == t and got is not t and got.left is got.right
+        assert shared
 
 
 def test_counts():
@@ -471,7 +525,7 @@ def test_compose_rejects_bad_membership():
         compose_tree(1, bad_spine)
     parts = decompose_tree(parse_tree("((..)(..))"))  # the image of UUUDDD
     with pytest.raises(ValueError) as exc:
-        compose_tree(3, dataclasses.replace(parts, free=LEAF))
+        compose_tree(3, parts._replace(free=LEAF))
     assert str(exc.value) == (
         "membership violation: free part has refined number 0, need 1 .. 2"
     )
