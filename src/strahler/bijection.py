@@ -5,8 +5,9 @@ fix, free and spine pieces (see ``dyck.decompose_path``), each piece is
 converted in turn, and the resulting trees are reassembled exactly as
 ``tree.compose_tree`` prescribes: a +1 spine piece's tree hangs on the
 left and a -1 piece's on the right, and below the spine the free tree takes
-the left child when the height is even and the right child when it is odd.  The construction preserves both the size parameter n and
-the statistic: the image of a path of height h has refined number h.
+the left child when the height is even and the right child when it is odd.
+The construction preserves both the size parameter n and the statistic:
+the image of a path of height h has refined number h.
 ``tree_to_path`` inverts this, piece by piece.
 
 Neither direction ever shifts or reflects a height.  A path piece is held
@@ -28,17 +29,17 @@ on first use (``_table``).  Pieces that small make most of the pieces of a
 uniform path.  Image nodes are made without ``Tree.__init__``
 (``tree._assemble_tree``).
 
-The same single-level helpers (``dyck._cut`` and ``dyck._join``,
-``tree._spine_walk`` and ``tree._assemble_tree``) back ``landmarks``,
-``decompose_path``, ``compose_path``, ``decompose_tree`` and
-``compose_tree``, which normalise pieces to their own heights, and the
-tree side's +1/-1 tags to child slots 1/2, only at that API boundary.  A
-level is ``(h, signs, [fix, free, spine...])`` on both sides.  Of the pieces of a height-h level, only the free one can be
-almost as high as h: the fix piece has height ceil(h / 2) - 1 and every
-spine piece at most that, and likewise for the fix and hung subtrees of a
-tree.  So each direction walks its chain of free pieces in a loop and
-recurses only into fix and spine pieces, about log2(h) calls deep, and
-paths of half-length around 10**6 convert at the default recursion limit.
+The same single-level helpers (``dyck._cut``, ``dyck._join`` and
+``tree._assemble_tree``) back ``landmarks``, ``decompose_path``,
+``compose_path`` and ``compose_tree``, which normalise pieces to their own
+heights, and the tree side's +1/-1 tags to child slots 1/2, only at that
+API boundary.  A level is ``(h, signs, [fix, free, spine...])`` on both
+sides.  Of the pieces of a height-h level, only the free one can be almost
+as high as h: the fix piece has height ceil(h / 2) - 1 and every spine
+piece at most that, and likewise for the fix and hung subtrees of a tree.
+So each direction walks its chain of free pieces in a loop and recurses
+only into fix and spine pieces, about log2(h) calls deep, and paths of
+half-length around 10**6 convert at the default recursion limit.
 
 The CLI's ``d2t`` and ``t2d`` never build a ``Tree``.  ``_image_text`` cuts
 a path as ``path_to_tree`` does and writes the image's text instead, and
@@ -177,7 +178,8 @@ def _tree(piece):
 
 
 def _small_text(hs, start, size):
-    """The text of ``_small_tree(hs, start, size)``, or None."""
+    """The text of the image of the ``size`` heights from ``hs[start]`` when
+    they make at most two internal nodes (``size`` <= 5), else None."""
     if size == 1:
         return "."
     if size == 3:

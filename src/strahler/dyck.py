@@ -393,7 +393,7 @@ def _place(heights, base: int, sign: int):
 
 def decompose_path(d: DyckPath) -> PathDecomposition:
     """Cut d at its landmarks into fix, free, and the spine pieces."""
-    if max(d.heights) == 0:
+    if len(d.heights) == 1:  # only the empty path has height 0
         raise ValueError("cannot decompose a path of height 0")
     hs = d.heights
     h, signs, pieces = _cut((hs, 0, len(hs), 0, 1))

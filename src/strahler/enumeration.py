@@ -40,7 +40,7 @@ from time import perf_counter
 
 from .bijection import _TREE_UD, _TREE_UDUD, _TREE_UUDD, _table, path_to_tree
 from .dyck import DyckPath
-from .tree import LEAF, _build, _refined
+from .tree import LEAF, _build, _refined, _register
 
 _CATALAN_MAX = 33  # catalan(33) still fits in a signed 64-bit count
 _VERIFY_MAX = 30
@@ -172,12 +172,6 @@ class Histogram(namedtuple("Histogram", "n counts")):
 def histogram_by_height(n: int) -> Histogram:
     """counts[h] = number of paths of half-length n with height h."""
     return Histogram(n, dict(Counter(map(max, _dyck_heights(n)))))
-
-
-def _register(a: int, b: int) -> int:
-    """The register (classical) number of a node whose subtrees have
-    register numbers a and b: one more when they are equal, else the larger."""
-    return a + 1 if a == b else max(a, b)
 
 
 def _tree_values(n: int, join) -> bytes:

@@ -41,6 +41,7 @@ full binary tree.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 
@@ -139,6 +140,12 @@ def _refined(a: int, b: int) -> int:
     """The refined number of a node whose subtrees have refined numbers a
     and b.  ``_build``, ``_assemble_tree`` and ``_values`` join inline."""
     return max(a, b, 2 * min(a, b) + (1 if a > b else 0) + 1)
+
+
+def _register(a: int, b: int) -> int:
+    """The register (classical) number of a node whose subtrees have
+    register numbers a and b: one more when they are equal, else the larger."""
+    return a + 1 if a == b else max(a, b)
 
 
 #: The unique tree with no internal node, shared by every tree.  Like every
@@ -384,34 +391,28 @@ def tau(r: int) -> Tree:
     tau(0) is a leaf and tau(1) the one-internal-node tree; for r >= 2 the
     left subtree is tau(r // 2) and the right subtree is tau((r - 1) // 2).
     Each tree strictly contains the previous one, and tau(2**s - 1) is the
-    perfect binary tree of height s.
+    perfect binary tree of height s.  Equal subtrees are one node, so
+    tau(r) holds at most two distinct nodes per depth.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if r == 0:
-        return LEAF
-    m, odd = divmod(r, 2)
-    left = tau(m)
-    return Tree(left, left if odd else tau(m - 1))
+    return _tau(r, LEAF, Tree)
 
 
 def _tau_text(r: int) -> str:
-    """The text of ``tau(r)``, built as text, for r >= 0.
+    """The text of ``tau(r)``, built as text, for r >= 0."""
+    return _tau(r, ".", "({}{})".format)
 
-    The subtrees at one depth of tau(r) are tau(x) for at most two values of
-    x, so a dict per call writes each distinct subtree's text once: the work
-    is a few joins per depth, about log2(r) of them, instead of a Python step
-    per node.
-    """
-    memo = {0: "."}
 
-    def text(x):
-        got = memo.get(x)
-        if got is None:
-            got = memo[x] = "(" + text(x // 2) + text((x - 1) // 2) + ")"
-        return got
+def _tau(r: int, leaf, node):
+    """tau(r) made of ``leaf`` and ``node(left, right)``, for r >= 0, with a
+    cache per call: one depth of tau(r) holds tau(x) for at most two values
+    of x, so ``node`` is called at most 2 * r.bit_length() times."""
+    @functools.cache
+    def build(x):
+        return node(build(x // 2), build((x - 1) // 2)) if x else leaf
 
-    return text(r)
+    return build(r)
 
 
 def complete_binary(s: int) -> Tree:
@@ -496,7 +497,7 @@ def classical_hs(t: Tree) -> int:
 def _register_number(kid: list) -> int:
     """The register number of the tree of a ``kid`` array, by one backward
     sweep: a leaf has 0, and a node one more than its subtrees' when they
-    are equal, else the larger, as ``enumeration._register`` joins them."""
+    are equal, else the larger, as ``_register`` joins them."""
     reg = [0] * len(kid)
     for i in range(len(kid) - 1, -1, -1):  # children come after their parent
         k = kid[i]
@@ -573,13 +574,13 @@ def spine_vertex(t: Tree) -> tuple:
     """The lexicographically largest vertex whose subtree has full refined number.
 
     The vertices attaining refined_hs(t) form exactly the ancestral chain of
-    this vertex.  For a single leaf the root () is returned.
+    this vertex, the path that ``decompose_tree`` walks: a subtree hung in
+    slot 1 means the chain turned right (letter 2).  For a single leaf the
+    root () is returned.
     """
     if t.left is None:
         return ()
-    kid, val = _flatten(t)
-    # a subtree hung on the left (+1) means the chain turned right (letter 2)
-    return tuple(2 if s == 1 else 1 for s in _spine_walk(kid, val, 0)[1])
+    return tuple(3 - slot for slot, _ in decompose_tree(t).spine)
 
 
 def _spine_walk(kid: list, val: list, i: int):
@@ -616,25 +617,27 @@ def _spine_walk(kid: list, val: list, i: int):
 def decompose_tree(t: Tree) -> SpinalDecomposition:
     """Split t along the ancestral path of its spine vertex.
 
-    The subtrees hanging off the path keep their left/right slots; below the
-    spine vertex, the child whose refined number is forced to
-    ceil(hs / 2) - 1 becomes ``fix`` (the right child when hs is even, the
-    left one when hs is odd) and the other child becomes ``free``.
-    Decomposing a single leaf is an error.
+    The path is walked down from the root on the stored refined numbers: it
+    goes on into the child, if any, that has the root's number hs, and the
+    sibling hangs off it in its own left/right slot.  Below the spine
+    vertex, the child whose refined number is forced to ceil(hs / 2) - 1
+    becomes ``fix`` (the right child when hs is even, the left one when hs
+    is odd) and the other child becomes ``free``.  Decomposing a single leaf
+    is an error.
     """
     if t.left is None:
         raise ValueError("cannot decompose a single leaf (refined number 0)")
-    h, signs, _ = _spine_walk(*_flatten(t), 0)
-    # walk down from the root as _assemble_tree builds it: a +1 subtree hangs
-    # on the left, a -1 one on the right, and the spine goes on past it
+    h = t._val
     spine = []
-    for s in signs:
-        if s == 1:
+    while True:
+        if t.right._val == h:
             spine.append((1, t.left))
             t = t.right
-        else:
+        elif t.left._val == h:
             spine.append((2, t.right))
             t = t.left
+        else:
+            break
     fix, free = (t.right, t.left) if h % 2 == 0 else (t.left, t.right)
     return SpinalDecomposition(hs=h, fix=fix, free=free, spine=tuple(spine))
 

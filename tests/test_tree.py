@@ -185,7 +185,7 @@ def test_pickle_and_deepcopy_of_a_deep_comb():
 
 
 def test_pickle_keeps_shared_subtrees_shared():
-    # two codes per distinct internal node: tau(10**6) has 4 043 of them and
+    # two codes per distinct internal node: tau(10**6) has 38 of them and
     # the perfect tree of height 40 has 40
     assert len(pickle.dumps(tau(10**6))) <= 40_000
     t = complete_binary(40)
@@ -290,6 +290,19 @@ def test_tau_matches_complete_binary():
     for s in range(6):
         assert tau(2**s - 1) == complete_binary(s)
     assert vertex_count(complete_binary(4)) == 31
+
+
+def test_tau_holds_at_most_two_distinct_nodes_per_depth():
+    for r in (99_999, 10**6, 10**7):
+        t = tau(r)  # held, so that no id is reused during the count
+        seen = set()
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if node.left is not None and id(node) not in seen:
+                seen.add(id(node))
+                stack += (node.left, node.right)
+        assert len(seen) <= 2 * r.bit_length()
 
 
 # --- refined and classical numbers ---------------------------------------
@@ -460,6 +473,41 @@ def test_spine_vertex_is_lex_max_attaining():
             u = spine_vertex(t)
             assert u == max(attaining)
             assert sorted(attaining) == list(ancestors(u))
+
+
+def test_spine_vertex_is_lex_max_attaining_by_the_oracle():
+    # refined_hs_oracle searches for embeddings and reads no stored number,
+    # so it checks the walk down the stored numbers independently
+    for n in range(7):
+        for t in all_full_binary_trees(n):
+            h = refined_hs_oracle(t)
+            attaining = [
+                u for u in tree_vertices(t) if refined_hs_oracle(subtree(t, u)) == h
+            ]
+            assert spine_vertex(t) == max(attaining)
+
+
+def test_spinal_walk_on_shared_trees_visits_only_the_spine():
+    # each tree built on its own, and each shares its subtrees: flattening
+    # would take 10**6, 2**20 or 2**40 steps, so a walk that flattens fails
+    # at the height-20 tree, in about a second, before the height-40 one
+    # could fill the memory.  Each check is named before it is asserted, as
+    # in the equality test, so that a failure never prints t.
+    for build, hs in (
+        (lambda: tau(10**6), 10**6),
+        (lambda: complete_binary(20), 2**20 - 1),
+        (lambda: complete_binary(40), 2**40 - 1),
+    ):
+        t = build()
+        start = time.perf_counter()
+        parts = decompose_tree(t)
+        vertex = spine_vertex(t)
+        fast = time.perf_counter() - start < 0.5
+        assert fast
+        root_is_spine_vertex = parts.hs == hs and parts.spine == () and vertex == ()
+        assert root_is_spine_vertex
+        round_trip = compose_tree(parts.hs, parts) == t
+        assert round_trip
 
 
 def test_decompose_examples():
